@@ -41,7 +41,7 @@ from .model import (
     total_loss,
 )
 from .synth import SynthSpec, generate_pair, shuffle_node_ids
-from .train import FitResult, TrainConfig, TrainLog, fit, train_step
+from .train import FitResult, TrainConfig, TrainLog, fit
 
 __version__ = "0.1.0"
 
@@ -82,6 +82,5 @@ __all__ = [
     "shuffle_node_ids",
     "total_loss",
     "train_classifier",
-    "train_step",
     "__version__",
 ]

@@ -142,13 +142,13 @@ def _load_pair(data_dir) -> GraphPair:
     return GraphPair(graphs["a"], graphs["b"])
 
 
-def _load_pair_labels(data_dir) -> tuple[ev.LabelSet, ev.LabelSet]:
+def _load_pair_labels(data_dir, pair: GraphPair) -> tuple[ev.LabelSet, ev.LabelSet]:
     mappings = []
-    for tag in ("a", "b"):
+    for tag, graph in (("a", pair.source), ("b", pair.target)):
         path = os.path.join(data_dir, _DATA_FILES[tag][2])
         if not os.path.isfile(path):
             raise DaneError(f"{path}: missing label file")
-        mappings.append(load_labels(path))
+        mappings.append(load_labels(path, graph.num_nodes))
     return ev.align_label_sets(*mappings)
 
 
@@ -157,15 +157,6 @@ def _write_embeddings(path, v: np.ndarray) -> None:
         fh.write("node_id," + ",".join(f"e{j}" for j in range(v.shape[1])) + "\n")
         for i, row in enumerate(v):
             fh.write(f"{i}," + ",".join(repr(float(x)) for x in row) + "\n")
-
-
-def _read_embeddings(path) -> np.ndarray:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        next(fh)  # header
-        for line in fh:
-            rows.append([float(x) for x in line.strip().split(",")[1:]])
-    return np.array(rows)
 
 
 # --- commands -------------------------------------------------------------------
@@ -272,26 +263,28 @@ def _write_projection(path, v_a, v_b, labels_a, labels_b) -> None:
                     if node in labels.assignments
                     else ""
                 )
-                writer.writerow(
-                    [node, repr(projected[row, 0]), repr(projected[row, 1]), tag, names]
-                )
+                x, y = (repr(float(c)) for c in projected[row])
+                writer.writerow([node, x, y, tag, names])
                 row += 1
+
+
+def _write_reports(out_dir, report_ab, report_ba) -> None:
+    for name, report in (("report_a2b.json", report_ab), ("report_b2a.json", report_ba)):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(report.to_json() + "\n")
 
 
 def cmd_eval(args) -> int:
     _require_dir(args.data)
     pair = _load_pair(args.data)
-    labels_a, labels_b = _load_pair_labels(args.data)
+    labels_a, labels_b = _load_pair_labels(args.data, pair)
     checkpoint = load_checkpoint(args.checkpoint)
     options = _classifier_options(args)
     v_a, v_b, report_ab, report_ba, mmd2 = _evaluate_checkpoint(
         pair, labels_a, labels_b, checkpoint, options
     )
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report_a2b.json"), "w", encoding="utf-8") as fh:
-        fh.write(report_ab.to_json() + "\n")
-    with open(os.path.join(args.out, "report_b2a.json"), "w", encoding="utf-8") as fh:
-        fh.write(report_ba.to_json() + "\n")
+    _write_reports(args.out, report_ab, report_ba)
     _write_projection(os.path.join(args.out, "projection.csv"), v_a, v_b, labels_a, labels_b)
     for report in (report_ab, report_ba):
         print(
@@ -306,7 +299,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     _require_dir(args.data)
     pair = _load_pair(args.data)
-    labels_a, labels_b = _load_pair_labels(args.data)
+    labels_a, labels_b = _load_pair_labels(args.data, pair)
     cfg = _train_config(args)
     if cfg.adv_weight == 0.0:
         raise DaneError("ablate needs a non-zero adv_weight to compare against")
@@ -323,10 +316,7 @@ def cmd_ablate(args) -> int:
         _, _, report_ab, report_ba, mmd2 = _evaluate_checkpoint(
             pair, labels_a, labels_b, checkpoint, options
         )
-        with open(os.path.join(out_dir, "report_a2b.json"), "w", encoding="utf-8") as fh:
-            fh.write(report_ab.to_json() + "\n")
-        with open(os.path.join(out_dir, "report_b2a.json"), "w", encoding="utf-8") as fh:
-            fh.write(report_ba.to_json() + "\n")
+        _write_reports(out_dir, report_ab, report_ba)
         results[name] = {
             "micro_f1": report_ab.micro_f1,
             "macro_f1": report_ab.macro_f1,

@@ -8,6 +8,7 @@ dense float feature row. Node ids are the contiguous range [0, num_nodes).
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -204,6 +205,8 @@ def _load_features(path) -> np.ndarray:
             values = [float(f) for f in fields[1:]]
         except ValueError:
             raise MalformedLine(f"{path}:{lineno}: non-numeric feature value")
+        if not all(math.isfinite(x) for x in values):
+            raise MalformedLine(f"{path}:{lineno}: non-finite feature value")
         if not values:
             raise MalformedLine(f"{path}:{lineno}: node {node} has no feature values")
         if width is None:
@@ -265,9 +268,10 @@ def load_graph(edge_path, feature_path) -> Graph:
     return Graph(features.shape[0], edges, features)
 
 
-def load_labels(path) -> dict[int, tuple[str, ...]]:
+def load_labels(path, num_nodes: int | None = None) -> dict[int, tuple[str, ...]]:
     """Read node labels: one `id<TAB>label` line per node, comma-joined for
-    multi-label data. Returns a sparse mapping; unlabeled nodes are absent."""
+    multi-label data. Returns a sparse mapping; unlabeled nodes are absent.
+    With ``num_nodes`` given, ids outside [0, num_nodes) are rejected."""
     out: dict[int, tuple[str, ...]] = {}
     for lineno, text in _data_lines(path):
         fields = text.split("\t")
@@ -279,6 +283,10 @@ def load_labels(path) -> dict[int, tuple[str, ...]]:
             raise MalformedLine(f"{path}:{lineno}: node id {fields[0]!r} is not an integer")
         if node < 0:
             raise MalformedLine(f"{path}:{lineno}: negative node id {node}")
+        if num_nodes is not None and node >= num_nodes:
+            raise NodeIdOutOfRange(
+                f"{path}:{lineno}: label for node {node} outside [0, {num_nodes})"
+            )
         if node in out:
             raise MalformedLine(f"{path}:{lineno}: duplicate label line for node {node}")
         labels = tuple(part.strip() for part in fields[1].split(","))

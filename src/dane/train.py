@@ -1,7 +1,7 @@
 """Alternating optimization of the discriminator and the shared encoder.
 
-Each epoch runs a fixed number of discriminator steps against the current
-(held constant) embeddings, then one encoder step against the current
+Each step runs a fixed number of discriminator updates against the current
+(held constant) embeddings, then one encoder update against the current
 (held constant) discriminator. The two players never update inside the
 same backward pass, so neither can leak gradient into the other's weights.
 
@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model
-from .compute import GradTape, backward
+from .compute import GradTape, Tensor2, backward
 from .errors import NonFiniteLoss, NonFiniteValue, ShapeMismatch
-from .graph import GraphPair, NegativeSampler, PropagationMatrix, build_propagation
+from .graph import GraphPair, NegativeSampler, build_propagation
 from .model import DiscriminatorParams, EncoderParams
 
 logger = logging.getLogger(__name__)
@@ -88,10 +88,12 @@ class RunSeeds:
     classifier: int
     synthesis: int
     subsample: int
+    snapshot_src: int
+    snapshot_tgt: int
 
 
 def derive_seeds(seed: int) -> RunSeeds:
-    children = np.random.SeedSequence(seed).spawn(8)
+    children = np.random.SeedSequence(seed).spawn(10)
     return RunSeeds(*(int(c.generate_state(1)[0]) for c in children))
 
 
@@ -183,25 +185,24 @@ class TrainLog:
 
 
 class TrainState:
-    """Everything train_step needs besides the parameters themselves."""
+    """Everything a training step needs besides the parameters themselves."""
 
-    def __init__(self, pair: GraphPair, cfg: TrainConfig):
-        seeds = derive_seeds(cfg.seed)
-        self.seeds = seeds
+    def __init__(
+        self,
+        pair: GraphPair,
+        cfg: TrainConfig,
+        seeds: RunSeeds,
+        enc: EncoderParams,
+        disc: DiscriminatorParams,
+    ):
         self.prop_src = build_propagation(pair.source)
         self.prop_tgt = build_propagation(pair.target)
         self.sampler_src = NegativeSampler(pair.source.degrees, seeds.sampler_src)
         self.sampler_tgt = NegativeSampler(pair.target.degrees, seeds.sampler_tgt)
         self.batch_rng = np.random.default_rng(seeds.batching)
-        kind = cfg.optimizer
-        self.enc_state = None
-        self.disc_state = None
-        self._adam = kind == "adam"
-
-    def ensure_optimizer(self, enc: EncoderParams, disc: DiscriminatorParams) -> None:
-        if self._adam and self.enc_state is None:
-            self.enc_state = AdamState(enc.arrays())
-            self.disc_state = AdamState(disc.arrays())
+        adam = cfg.optimizer == "adam"
+        self.enc_state = AdamState(enc.arrays()) if adam else None
+        self.disc_state = AdamState(disc.arrays()) if adam else None
 
 
 def init_models(
@@ -218,9 +219,13 @@ def init_models(
     return enc, disc
 
 
-def _encode_pair(enc, pair, state, cfg):
-    v_src = model.encode(enc, state.prop_src, pair.source.features, cfg.hidden_activation)
-    v_tgt = model.encode(enc, state.prop_tgt, pair.target.features, cfg.hidden_activation)
+def _encode_pair(enc, pair, state, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """Embeddings of both graphs, read-only, since ``fit`` hands the same
+    arrays to the next discriminator round, the snapshot and the hook."""
+    v_src = model.encode(enc, state.prop_src, pair.source.features, cfg.hidden_activation).data
+    v_tgt = model.encode(enc, state.prop_tgt, pair.target.features, cfg.hidden_activation).data
+    v_src.setflags(write=False)
+    v_tgt.setflags(write=False)
     return v_src, v_tgt
 
 
@@ -279,51 +284,17 @@ def encoder_round(
     return loss.item()
 
 
-def train_step(
-    pair: GraphPair,
-    enc: EncoderParams,
-    disc: DiscriminatorParams,
-    cfg: TrainConfig,
-    state: TrainState,
-    src_edges: np.ndarray | None = None,
-    tgt_edges: np.ndarray | None = None,
-) -> EpochRecord:
-    """One adversarial round: ``cfg.disc_steps`` discriminator updates
-    against the current embeddings, then one encoder update with freshly
-    sampled negatives, then a loss evaluation of the updated parameters.
-    ``enc`` and ``disc`` are updated in place (their arrays replaced).
-    """
-    started = time.perf_counter()
-    state.ensure_optimizer(enc, disc)
-    src_edges = pair.source.edges if src_edges is None else src_edges
-    tgt_edges = pair.target.edges if tgt_edges is None else tgt_edges
-
-    v_src_const, v_tgt_const = _encode_pair(enc, pair, state, cfg)
-    for _ in range(cfg.disc_steps):
-        discriminator_round(v_src_const.data, v_tgt_const.data, disc, cfg, state)
-
-    batch_src = model.sample_edge_batch(src_edges, state.sampler_src, cfg.negative_samples)
-    batch_tgt = model.sample_edge_batch(tgt_edges, state.sampler_tgt, cfg.negative_samples)
-    encoder_round(pair, enc, disc, cfg, state, batch_src, batch_tgt)
-
-    # report losses of the parameters as they now stand, on this step's batches
-    record = evaluate_losses(pair, enc, disc, cfg, state, batch_src, batch_tgt)
-    record.seconds = time.perf_counter() - started
-    return record
-
-
 def evaluate_losses(
-    pair: GraphPair,
-    enc: EncoderParams,
+    v_src: np.ndarray,
+    v_tgt: np.ndarray,
     disc: DiscriminatorParams,
     cfg: TrainConfig,
-    state: TrainState,
     batch_src: model.EdgeBatch,
     batch_tgt: model.EdgeBatch,
     epoch: int = -1,
 ) -> EpochRecord:
-    """Loss snapshot with no tape and no side effects on parameters."""
-    v_src, v_tgt = _encode_pair(enc, pair, state, cfg)
+    """Loss snapshot of given embeddings: no tape, no parameter update."""
+    v_src, v_tgt = Tensor2(v_src), Tensor2(v_tgt)
     l_gcn = model.gcn_loss(v_src, v_tgt, batch_src, batch_tgt).item()
     s_src = model.discriminator_forward(disc, v_src)
     s_tgt = model.discriminator_forward(disc, v_tgt)
@@ -370,44 +341,55 @@ def fit(
 ) -> FitResult:
     """Train on a graph pair from scratch.
 
+    An epoch walks one slice of edges per step (all edges when
+    ``cfg.edge_batch_size`` is None): ``cfg.disc_steps`` discriminator
+    updates on the current embeddings, one encoder update with freshly
+    sampled negatives, then one re-encode, which is the next step's
+    discriminator input. The epoch's record scores the final embeddings on
+    the full edge sets against one negative batch per graph, drawn once per
+    fit from streams training never reads.
+
     ``epoch_hook(epoch, record, enc, v_src, v_tgt)``, when given, observes
-    each finished epoch; arrays passed to it are the live ones, so hooks
-    must copy anything they keep. On a NaN/Inf loss the last finite-loss
-    parameters are dumped to ``diagnostics_path`` (if given) and
-    :class:`NonFiniteLoss` is raised with the failing epoch.
+    each finished epoch; ``enc`` is the live encoder, so hooks must copy it
+    to keep it, and the embeddings are read-only. On a NaN/Inf loss the
+    last finite-loss parameters are dumped to ``diagnostics_path`` (if
+    given) and :class:`NonFiniteLoss` is raised with the failing epoch.
+    Non-finite input features raise :class:`NonFiniteValue` before
+    training starts.
     """
     seeds = derive_seeds(cfg.seed)
-    state = TrainState(pair, cfg)
     enc, disc = init_models(pair, cfg, seeds)
+    state = TrainState(pair, cfg, seeds, enc, disc)
+    snap_src, snap_tgt = (
+        model.sample_edge_batch(
+            g.edges, NegativeSampler(g.degrees, seed), cfg.negative_samples
+        )
+        for g, seed in ((pair.source, seeds.snapshot_src), (pair.target, seeds.snapshot_tgt))
+    )
     log = TrainLog()
     best_total = math.inf
     best_epoch = -1
     best_enc, best_disc = enc.copy(), disc.copy()
     last_good = (enc.copy(), disc.copy(), -1)
+    v_src, v_tgt = _encode_pair(enc, pair, state, cfg)
 
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         try:
-            if cfg.edge_batch_size is None:
-                record = train_step(pair, enc, disc, cfg, state)
-            else:
-                src_parts = _edge_slices(pair.source.edges, cfg.edge_batch_size, state.batch_rng)
-                tgt_parts = _edge_slices(pair.target.edges, cfg.edge_batch_size, state.batch_rng)
-                steps = max(len(src_parts), len(tgt_parts))
-                for i in range(steps):
-                    train_step(
-                        pair, enc, disc, cfg, state,
-                        src_edges=src_parts[i % len(src_parts)],
-                        tgt_edges=tgt_parts[i % len(tgt_parts)],
-                    )
-                # epoch-level snapshot over the full edge sets
-                full_src = model.sample_edge_batch(
-                    pair.source.edges, state.sampler_src, cfg.negative_samples
+            src_parts = _edge_slices(pair.source.edges, cfg.edge_batch_size, state.batch_rng)
+            tgt_parts = _edge_slices(pair.target.edges, cfg.edge_batch_size, state.batch_rng)
+            for i in range(max(len(src_parts), len(tgt_parts))):
+                for _ in range(cfg.disc_steps):
+                    discriminator_round(v_src, v_tgt, disc, cfg, state)
+                batch_src = model.sample_edge_batch(
+                    src_parts[i % len(src_parts)], state.sampler_src, cfg.negative_samples
                 )
-                full_tgt = model.sample_edge_batch(
-                    pair.target.edges, state.sampler_tgt, cfg.negative_samples
+                batch_tgt = model.sample_edge_batch(
+                    tgt_parts[i % len(tgt_parts)], state.sampler_tgt, cfg.negative_samples
                 )
-                record = evaluate_losses(pair, enc, disc, cfg, state, full_src, full_tgt)
+                encoder_round(pair, enc, disc, cfg, state, batch_src, batch_tgt)
+                v_src, v_tgt = _encode_pair(enc, pair, state, cfg)
+            record = evaluate_losses(v_src, v_tgt, disc, cfg, snap_src, snap_tgt, epoch)
             if not all(
                 math.isfinite(x)
                 for x in (record.l_gcn, record.l_d, record.l_adv, record.l_total)
@@ -424,7 +406,6 @@ def fit(
                 logger.error("diverged at epoch %d; dumped %s", epoch, diagnostics_path)
             raise NonFiniteLoss(epoch, f"{exc} (epoch {epoch})") from exc
 
-        record.epoch = epoch
         record.seconds = time.perf_counter() - started
         log.append(record)
         last_good = (enc.copy(), disc.copy(), epoch)
@@ -433,20 +414,18 @@ def fit(
             best_epoch = epoch
             best_enc, best_disc = enc.copy(), disc.copy()
         if epoch_hook is not None:
-            v_src, v_tgt = _encode_pair(enc, pair, state, cfg)
-            epoch_hook(epoch, record, enc, v_src.data, v_tgt.data)
+            epoch_hook(epoch, record, enc, v_src, v_tgt)
         if epoch % 50 == 0 or epoch == cfg.epochs - 1:
             logger.info(
                 "epoch %d: l_total=%.4f l_gcn=%.4f l_adv=%.4f", epoch,
                 record.l_total, record.l_gcn, record.l_adv,
             )
 
-    v_src, v_tgt = _encode_pair(enc, pair, state, cfg)
     return FitResult(
         encoder=enc,
         discriminator=disc,
-        embeddings_src=v_src.data,
-        embeddings_tgt=v_tgt.data,
+        embeddings_src=v_src,
+        embeddings_tgt=v_tgt,
         log=log,
         best_encoder=best_enc,
         best_discriminator=best_disc,

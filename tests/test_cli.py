@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -200,6 +201,22 @@ def test_diverged_training_exits_3_and_dumps(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "1e309"])
+def test_non_finite_feature_is_bad_input_not_divergence(tmp_path, capsys, value):
+    data = generate_tiny(tmp_path)
+    features = data / "features_a.csv"
+    lines = features.read_text().split("\n")
+    lines[0] = lines[0].rsplit(",", 1)[0] + "," + value
+    features.write_text("\n".join(lines))
+    out = tmp_path / "run"
+    code = main(["train", "--config", tiny_train_config(tmp_path), "--data", str(data),
+                 "--out", str(out)])
+    assert code == 2
+    assert not (out / "diverged.json").exists()
+    err = capsys.readouterr().err
+    assert "features_a.csv:1" in err and "Traceback" not in err
+
+
 # --- eval ------------------------------------------------------------------------
 
 
@@ -232,6 +249,9 @@ def test_eval_writes_reports_and_projection(tmp_path, capsys):
     assert len(lines) == 1 + 60  # both graphs pooled
     assert lines[1].split(",")[3] == "a"
     assert lines[-1].split(",")[3] == "b"
+    for line in lines[1:]:
+        _, x, y = line.split(",")[:3]
+        assert math.isfinite(float(x)) and math.isfinite(float(y))
     output = capsys.readouterr().out
     assert "A->B" in output and "B->A" in output
 
@@ -246,6 +266,18 @@ def test_eval_is_deterministic(tmp_path, capsys):
     assert (o1 / "report_a2b.json").read_bytes() == (o2 / "report_a2b.json").read_bytes()
     assert (o1 / "projection.csv").read_bytes() == (o2 / "projection.csv").read_bytes()
     capsys.readouterr()
+
+
+def test_eval_rejects_label_outside_its_graph(tmp_path, capsys):
+    data, run = trained_tiny(tmp_path)
+    with open(data / "labels_a.tsv", "a") as fh:
+        fh.write("999\tc0\n")
+    code = main(["eval", "--data", str(data), "--checkpoint", str(run / "checkpoint.json"),
+                 "--out", str(tmp_path / "evaluation")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "labels_a.tsv" in err and "node 999" in err
+    assert "Traceback" not in err
 
 
 def test_eval_missing_checkpoint(tmp_path, capsys):

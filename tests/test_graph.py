@@ -271,3 +271,18 @@ def test_label_line_with_missing_field(tmp_path):
     (tmp_path / "l.tsv").write_text("0\n")
     with pytest.raises(MalformedLine):
         load_labels(tmp_path / "l.tsv")
+
+
+@pytest.mark.parametrize("value", ["nan", "1e309", "-inf"])
+def test_non_finite_feature_value_rejected_with_line(tmp_path, value):
+    (tmp_path / "e.tsv").write_text("0\t1\n")
+    (tmp_path / "f.csv").write_text(f"0,1.0\n1,{value}\n")
+    with pytest.raises(MalformedLine, match=r"f\.csv:2: non-finite"):
+        load_graph(tmp_path / "e.tsv", tmp_path / "f.csv")
+
+
+def test_label_beyond_node_count_rejected_with_line(tmp_path):
+    (tmp_path / "l.tsv").write_text("0\ta\n3\tb\n")
+    assert load_labels(tmp_path / "l.tsv") == {0: ("a",), 3: ("b",)}
+    with pytest.raises(NodeIdOutOfRange, match=r"l\.tsv:2: label for node 3"):
+        load_labels(tmp_path / "l.tsv", num_nodes=3)

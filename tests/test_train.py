@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dane import model, train
-from dane.errors import NonFiniteLoss, ShapeMismatch
-from dane.graph import Graph, GraphPair
+from dane.errors import NonFiniteLoss, NonFiniteValue, ShapeMismatch
+from dane.graph import Graph, GraphPair, NegativeSampler
 from dane.model import load_checkpoint
 from dane.train import (
     AdamState,
@@ -16,8 +16,8 @@ from dane.train import (
     TrainState,
     apply_update,
     derive_seeds,
+    encode_pair,
     fit,
-    train_step,
     with_adv_weight,
 )
 
@@ -86,9 +86,13 @@ def test_derive_seeds_deterministic_and_distinct():
     s1, s2 = derive_seeds(123), derive_seeds(123)
     assert s1 == s2
     fields = [s1.encoder_init, s1.disc_init, s1.sampler_src, s1.sampler_tgt,
-              s1.batching, s1.classifier, s1.synthesis, s1.subsample]
+              s1.batching, s1.classifier, s1.synthesis, s1.subsample,
+              s1.snapshot_src, s1.snapshot_tgt]
     assert len(set(fields)) == len(fields)
     assert derive_seeds(124) != s1
+    # streams are appended, never reordered: the first eight predate the rest
+    first = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(123).spawn(8)]
+    assert fields[:8] == first
 
 
 # --- optimizer -----------------------------------------------------------------
@@ -141,12 +145,16 @@ def test_apply_update_shape_checks():
 # --- adversarial phases are isolated --------------------------------------------
 
 
+def make_state(pair, cfg):
+    seeds = derive_seeds(cfg.seed)
+    enc, disc = train.init_models(pair, cfg, seeds)
+    return TrainState(pair, cfg, seeds, enc, disc), enc, disc
+
+
 def test_discriminator_round_never_sees_encoder():
     pair = small_pair()
     cfg = quick_config()
-    state = TrainState(pair, cfg)
-    enc, disc = train.init_models(pair, cfg)
-    state.ensure_optimizer(enc, disc)
+    state, enc, disc = make_state(pair, cfg)
     enc_bytes = [w.tobytes() for w in enc.weights]
     disc_before = [a.copy() for a in disc.arrays()]
     rng = np.random.default_rng(1)
@@ -162,9 +170,7 @@ def test_discriminator_round_never_sees_encoder():
 def test_encoder_round_treats_discriminator_as_constant():
     pair = small_pair()
     cfg = quick_config()
-    state = TrainState(pair, cfg)
-    enc, disc = train.init_models(pair, cfg)
-    state.ensure_optimizer(enc, disc)
+    state, enc, disc = make_state(pair, cfg)
     disc_bytes = [a.tobytes() for a in disc.arrays()]
     enc_before = [w.copy() for w in enc.weights]
     b_src = model.sample_edge_batch(pair.source.edges, state.sampler_src, 2)
@@ -174,19 +180,23 @@ def test_encoder_round_treats_discriminator_as_constant():
     assert any(w.tobytes() != b.tobytes() for w, b in zip(enc.weights, enc_before))
 
 
-# --- train_step ----------------------------------------------------------------
+# --- one epoch ------------------------------------------------------------------
 
 
-def test_train_step_updates_both_players_and_reports_post_update_losses():
+def test_one_epoch_fit_updates_both_players_and_logs_its_losses():
     pair = small_pair()
-    cfg = quick_config(disc_steps=2)
-    state = TrainState(pair, cfg)
-    enc, disc = train.init_models(pair, cfg)
-    enc_before = [w.copy() for w in enc.weights]
-    disc_before = [a.copy() for a in disc.arrays()]
-    record = train_step(pair, enc, disc, cfg, state)
-    assert any(w.tobytes() != b.tobytes() for w, b in zip(enc.weights, enc_before))
-    assert any(a.tobytes() != b.tobytes() for a, b in zip(disc.arrays(), disc_before))
+    cfg = quick_config(disc_steps=2, epochs=1)
+    enc0, disc0 = train.init_models(pair, cfg)
+    result = fit(pair, cfg)
+    assert any(
+        w.tobytes() != b.tobytes() for w, b in zip(result.encoder.weights, enc0.weights)
+    )
+    assert any(
+        a.tobytes() != b.tobytes()
+        for a, b in zip(result.discriminator.arrays(), disc0.arrays())
+    )
+    (record,) = result.log.records
+    assert record.epoch == 0
     assert record.l_total == pytest.approx(
         record.l_gcn + cfg.adv_weight * record.l_adv, rel=1e-15
     )
@@ -196,36 +206,30 @@ def test_train_step_updates_both_players_and_reports_post_update_losses():
     assert record.l_gcn > 0
 
 
-def test_train_step_is_deterministic():
-    def run():
-        pair = small_pair()
-        cfg = quick_config()
-        state = TrainState(pair, cfg)
-        enc, disc = train.init_models(pair, cfg)
-        r = train_step(pair, enc, disc, cfg, state)
-        return enc, disc, r
-
-    e1, d1, r1 = run()
-    e2, d2, r2 = run()
-    for a, b in zip(e1.weights, e2.weights):
+def test_one_epoch_fit_is_deterministic():
+    pair = small_pair()
+    cfg = quick_config(epochs=1)
+    r1, r2 = fit(pair, cfg), fit(pair, cfg)
+    for a, b in zip(r1.encoder.weights, r2.encoder.weights):
         assert a.tobytes() == b.tobytes()
-    for a, b in zip(d1.arrays(), d2.arrays()):
+    for a, b in zip(r1.discriminator.arrays(), r2.discriminator.arrays()):
         assert a.tobytes() == b.tobytes()
-    assert (r1.l_gcn, r1.l_d, r1.l_adv) == (r2.l_gcn, r2.l_d, r2.l_adv)
+    (a,), (b,) = r1.log.records, r2.log.records
+    assert (a.l_gcn, a.l_d, a.l_adv) == (b.l_gcn, b.l_d, b.l_adv)
 
 
 def test_evaluate_losses_has_no_side_effects():
     pair = small_pair()
     cfg = quick_config()
-    state = TrainState(pair, cfg)
-    enc, disc = train.init_models(pair, cfg)
+    state, enc, disc = make_state(pair, cfg)
     b_src = model.sample_edge_batch(pair.source.edges, state.sampler_src, 2)
     b_tgt = model.sample_edge_batch(pair.target.edges, state.sampler_tgt, 2)
-    enc_bytes = [w.tobytes() for w in enc.weights]
+    v_src, v_tgt = encode_pair(enc, pair)
+    v_bytes = (v_src.tobytes(), v_tgt.tobytes())
     disc_bytes = [a.tobytes() for a in disc.arrays()]
-    r1 = train.evaluate_losses(pair, enc, disc, cfg, state, b_src, b_tgt)
-    r2 = train.evaluate_losses(pair, enc, disc, cfg, state, b_src, b_tgt)
-    assert [w.tobytes() for w in enc.weights] == enc_bytes
+    r1 = train.evaluate_losses(v_src, v_tgt, disc, cfg, b_src, b_tgt)
+    r2 = train.evaluate_losses(v_src, v_tgt, disc, cfg, b_src, b_tgt)
+    assert (v_src.tobytes(), v_tgt.tobytes()) == v_bytes
     assert [a.tobytes() for a in disc.arrays()] == disc_bytes
     assert (r1.l_gcn, r1.l_d, r1.l_adv) == (r2.l_gcn, r2.l_d, r2.l_adv)
 
@@ -287,6 +291,9 @@ def test_fit_epoch_hook_sees_every_epoch():
 
     def hook(epoch, record, enc, v_src, v_tgt):
         assert v_src.shape == (20, 8) and v_tgt.shape == (20, 8)
+        fresh_src, fresh_tgt = encode_pair(enc, pair)
+        assert v_src.tobytes() == fresh_src.tobytes()
+        assert v_tgt.tobytes() == fresh_tgt.tobytes()
         seen.append(epoch)
 
     fit(pair, quick_config(epochs=3), epoch_hook=hook)
@@ -299,6 +306,38 @@ def test_fit_minibatch_mode_runs_deterministically():
     r1, r2 = fit(pair, cfg), fit(pair, cfg)
     assert len(r1.log) == 3
     assert r1.embeddings_src.tobytes() == r2.embeddings_src.tobytes()
+
+
+def test_minibatch_fit_draws_only_training_negatives_from_training_streams(monkeypatch):
+    pair = small_pair()
+    cfg = quick_config(epochs=3, edge_batch_size=7)
+    batches = []
+
+    def recording_round(pair, enc, disc, cfg, state, batch_src, batch_tgt):
+        batches.append((batch_src.negatives.ravel(), batch_tgt.negatives.ravel()))
+        return encoder_round(pair, enc, disc, cfg, state, batch_src, batch_tgt)
+
+    encoder_round = train.encoder_round
+    monkeypatch.setattr(train, "encoder_round", recording_round)
+    fit(pair, cfg)
+    seeds = derive_seeds(cfg.seed)
+    for side, (g, seed) in enumerate(
+        ((pair.source, seeds.sampler_src), (pair.target, seeds.sampler_tgt))
+    ):
+        drawn = np.concatenate([b[side] for b in batches])
+        replay = NegativeSampler(g.degrees, seed).sample(drawn.size)
+        np.testing.assert_array_equal(drawn, replay)
+
+
+def test_fit_rejects_non_finite_features_as_bad_input(tmp_path):
+    pair = small_pair()
+    features = pair.source.features.copy()
+    features[3, 1] = np.nan
+    bad = GraphPair(Graph(20, pair.source.edges, features), pair.target)
+    dump = tmp_path / "diverged.json"
+    with pytest.raises(NonFiniteValue):
+        fit(bad, quick_config(), diagnostics_path=dump)
+    assert not dump.exists()
 
 
 def test_fit_sgd_optimizer_runs():
