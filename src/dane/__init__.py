@@ -22,7 +22,6 @@ from .graph import (
     GraphPair,
     NegativeSampler,
     PropagationMatrix,
-    build_negative_sampler,
     build_propagation,
     load_graph,
     load_labels,
@@ -64,7 +63,6 @@ __all__ = [
     "TransferReport",
     "adversarial_loss",
     "backward",
-    "build_negative_sampler",
     "build_propagation",
     "discriminator_loss",
     "distribution_distance",

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, eval as ev, train as tr
+from . import __version__, eval as ev
 from .errors import DaneError, NonFiniteLoss
 from .graph import (
     GraphPair,
@@ -203,19 +203,14 @@ def _run_training(pair, cfg, out_dir):
     result = fit(pair, cfg, diagnostics_path=os.path.join(out_dir, "diverged.json"))
     save_checkpoint(
         os.path.join(out_dir, "checkpoint.json"),
-        result.best_encoder,
-        result.best_discriminator,
+        result.encoder,
+        result.discriminator,
         adv_weight=cfg.adv_weight,
         seed=cfg.seed,
-        extra={
-            "best_epoch": result.best_epoch,
-            "best_total": result.best_total,
-            "config": dataclasses.asdict(cfg),
-        },
+        extra={"config": dataclasses.asdict(cfg)},
     )
-    v_a, v_b = encode_pair(result.best_encoder, pair, cfg.hidden_activation)
-    _write_embeddings(os.path.join(out_dir, "embeddings_a.csv"), v_a)
-    _write_embeddings(os.path.join(out_dir, "embeddings_b.csv"), v_b)
+    _write_embeddings(os.path.join(out_dir, "embeddings_a.csv"), result.embeddings_src)
+    _write_embeddings(os.path.join(out_dir, "embeddings_b.csv"), result.embeddings_tgt)
     result.log.to_csv(os.path.join(out_dir, "train_log.csv"))
     return result
 
@@ -228,26 +223,22 @@ def cmd_train(args) -> int:
     last = result.log.records[-1] if result.log.records else None
     if last is not None:
         print(
-            f"trained {cfg.epochs} epochs: best l_total {result.best_total:.6f} "
-            f"at epoch {result.best_epoch}; final l_gcn {last.l_gcn:.6f}, "
-            f"l_adv {last.l_adv:.6f}"
+            f"trained {cfg.epochs} epochs: final l_total {last.l_total:.6f}, "
+            f"l_gcn {last.l_gcn:.6f}, l_adv {last.l_adv:.6f}"
         )
     print(f"wrote checkpoint and embeddings to {args.out}")
     return 0
 
 
-def _evaluate_checkpoint(pair, labels_a, labels_b, checkpoint, classifier_options):
-    """Both transfer directions plus the distribution distance."""
-    config = checkpoint.extra.get("config", {})
-    activation = config.get("hidden_activation", "relu")
-    v_a, v_b = encode_pair(checkpoint.encoder, pair, activation)
-    seeds = derive_seeds(checkpoint.seed)
-    clf_a = ev.train_classifier(v_a, labels_a, seed=seeds.classifier, **classifier_options)
+def _evaluate(v_a, v_b, labels_a, labels_b, seed, classifier_options):
+    """Both transfer directions plus the distribution distance of two
+    embedding arrays, with the classifier stream of run seed ``seed``."""
+    clf_seed = derive_seeds(seed).classifier
+    clf_a = ev.train_classifier(v_a, labels_a, seed=clf_seed, **classifier_options)
     report_ab = ev.evaluate_transfer(clf_a, v_b, labels_b, direction="A->B")
-    clf_b = ev.train_classifier(v_b, labels_b, seed=seeds.classifier, **classifier_options)
+    clf_b = ev.train_classifier(v_b, labels_b, seed=clf_seed, **classifier_options)
     report_ba = ev.evaluate_transfer(clf_b, v_a, labels_a, direction="B->A")
-    mmd2 = ev.distribution_distance(v_a, v_b)
-    return v_a, v_b, report_ab, report_ba, mmd2
+    return report_ab, report_ba, ev.distribution_distance(v_a, v_b)
 
 
 def _write_projection(path, v_a, v_b, labels_a, labels_b) -> None:
@@ -279,9 +270,17 @@ def cmd_eval(args) -> int:
     pair = _load_pair(args.data)
     labels_a, labels_b = _load_pair_labels(args.data, pair)
     checkpoint = load_checkpoint(args.checkpoint)
+    config = checkpoint.extra.get("config")
+    activation = config.get("hidden_activation", "relu") if isinstance(config, dict) else "relu"
+    if activation != "relu":
+        raise DaneError(
+            f"{args.checkpoint}: encoder activation {activation!r} is not supported; "
+            "only 'relu' is"
+        )
     options = _classifier_options(args)
-    v_a, v_b, report_ab, report_ba, mmd2 = _evaluate_checkpoint(
-        pair, labels_a, labels_b, checkpoint, options
+    v_a, v_b = encode_pair(checkpoint.encoder, pair)
+    report_ab, report_ba, mmd2 = _evaluate(
+        v_a, v_b, labels_a, labels_b, checkpoint.seed, options
     )
     os.makedirs(args.out, exist_ok=True)
     _write_reports(args.out, report_ab, report_ba)
@@ -311,10 +310,10 @@ def cmd_ablate(args) -> int:
         ("baseline", with_adv_weight(cfg, 0.0)),
     ):
         out_dir = os.path.join(args.out, name)
-        _run_training(pair, run_cfg, out_dir)
-        checkpoint = load_checkpoint(os.path.join(out_dir, "checkpoint.json"))
-        _, _, report_ab, report_ba, mmd2 = _evaluate_checkpoint(
-            pair, labels_a, labels_b, checkpoint, options
+        result = _run_training(pair, run_cfg, out_dir)
+        report_ab, report_ba, mmd2 = _evaluate(
+            result.embeddings_src, result.embeddings_tgt, labels_a, labels_b,
+            run_cfg.seed, options,
         )
         _write_reports(out_dir, report_ab, report_ba)
         results[name] = {

@@ -87,10 +87,6 @@ class GradTape:
         self._parameters.append(node)
         return node
 
-    @property
-    def parameters(self) -> list[Tensor2]:
-        return list(self._parameters)
-
     def _record(self, out: Tensor2, pulls) -> None:
         self._records.append(_Record(out, pulls))
         self._produced.add(id(out))
@@ -208,12 +204,6 @@ def relu(a) -> Tensor2:
     ad = a.data
     # subgradient 0 at the kink
     return _make(np.maximum(ad, 0.0), [(a, lambda g: g * (ad > 0.0))])
-
-
-def sigmoid(a) -> Tensor2:
-    a = _as_tensor(a)
-    s = expit(a.data)
-    return _make(s, [(a, lambda g: g * s * (1.0 - s))])
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from .compute import GradTape, Tensor2, backward
 from .errors import (
     EmptyInput,
     LabelVocabularyMismatch,
+    NodeIdOutOfRange,
     ShapeMismatch,
     SingleClassDegenerate,
     TransferProtocolError,
@@ -117,6 +118,18 @@ def align_label_sets(
     )
 
 
+def _check_rows(node_ids: np.ndarray, embeddings: np.ndarray) -> None:
+    """Every labeled node must address a row of the embeddings. ``node_ids``
+    is the non-empty, sorted output of :meth:`LabelSet.node_ids`, so its
+    two ends bound the rest."""
+    rows = embeddings.shape[0]
+    for node in (int(node_ids[0]), int(node_ids[-1])):
+        if not 0 <= node < rows:
+            raise NodeIdOutOfRange(
+                f"label names node {node}, but the embeddings have {rows} rows"
+            )
+
+
 def _fingerprint(embeddings: np.ndarray, node_ids: np.ndarray) -> str:
     h = hashlib.sha256()
     h.update(embeddings[node_ids].tobytes())
@@ -153,6 +166,7 @@ def log_loss(clf: Classifier, embeddings: np.ndarray, labels: LabelSet) -> float
     node_ids = labels.node_ids()
     if node_ids.size == 0:
         raise EmptyInput("no labeled nodes")
+    _check_rows(node_ids, embeddings)
     z = Tensor2(clf.logits(embeddings[node_ids]))
     y = labels.target_matrix(node_ids)
     if clf.multi_label:
@@ -177,6 +191,7 @@ def train_classifier(
     node_ids = labels.node_ids()
     if node_ids.size == 0:
         raise EmptyInput("no labeled nodes to fit on")
+    _check_rows(node_ids, embeddings)
     if labels.num_classes < 2:
         raise SingleClassDegenerate("need at least two classes")
     if not labels.multi_label:
@@ -319,6 +334,7 @@ def evaluate_transfer(
     node_ids = labels_tgt.node_ids()
     if node_ids.size == 0:
         raise EmptyInput("target graph has no labeled nodes")
+    _check_rows(node_ids, embeddings_tgt)
     if _fingerprint(embeddings_tgt, node_ids) == clf.train_fingerprint:
         raise TransferProtocolError(
             "these are the embeddings the classifier was fit on; "

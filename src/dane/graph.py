@@ -124,9 +124,6 @@ class PropagationMatrix:
     def nnz(self) -> int:
         return self.matrix.nnz
 
-    def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        return self.matrix @ other
-
 
 def build_propagation(g: Graph) -> PropagationMatrix:
     """Build the normalized propagation operator for one graph."""
@@ -170,10 +167,6 @@ class NegativeSampler:
             raise ValueError("count must be non-negative")
         u = self._rng.random(count)
         return np.searchsorted(self._cumulative, u, side="right").astype(np.int64)
-
-
-def build_negative_sampler(g: Graph, seed: int) -> NegativeSampler:
-    return NegativeSampler(g.degrees, seed)
 
 
 def _data_lines(path):

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import compute
 from .compute import GradTape, Tensor2
-from .errors import EmptyInput, IndexOutOfRange, ShapeMismatch
-from .graph import Graph, NegativeSampler, PropagationMatrix
+from .errors import DaneError, EmptyInput, IndexOutOfRange, ShapeMismatch
+from .graph import NegativeSampler, PropagationMatrix
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -130,37 +130,21 @@ class DiscriminatorParams:
         return [tape.parameter(a) for a in self.arrays()]
 
 
-_ACTIVATIONS = {
-    "relu": compute.relu,
-    "sigmoid": compute.sigmoid,
-    "linear": lambda t: t,
-}
-
-
-def encode(
-    params,
-    prop: PropagationMatrix,
-    features,
-    hidden_activation: str = "relu",
-) -> Tensor2:
+def encode(params, prop: PropagationMatrix, features) -> Tensor2:
     """Run the convolution stack over one graph.
 
     ``params`` is either :class:`EncoderParams` or the list of tape nodes
-    from ``as_nodes`` when gradients are wanted. Hidden layers apply the
-    activation; the final layer is linear so the output space is not boxed
-    into one orthant.
+    from ``as_nodes`` when gradients are wanted. Hidden layers apply relu;
+    the final layer is linear so the output space is not boxed into one
+    orthant.
     """
     weights = params.weights if isinstance(params, EncoderParams) else list(params)
-    try:
-        act = _ACTIVATIONS[hidden_activation]
-    except KeyError:
-        raise ValueError(f"unknown activation {hidden_activation!r}")
     h = features if isinstance(features, Tensor2) else Tensor2(features)
     last = len(weights) - 1
     for i, w in enumerate(weights):
         h = compute.matmul(compute.spmm(prop, h), w)
         if i < last:
-            h = act(h)
+            h = compute.relu(h)
     return h
 
 
@@ -349,19 +333,38 @@ class Checkpoint:
         self.extra = extra
 
 
+def _checkpoint_fields(doc, path, *keys: str) -> list:
+    """``doc[a][b]...`` for each key "a.b...", or a :class:`DaneError` that
+    names the file and the whole missing key."""
+    values = []
+    for key in keys:
+        node = doc
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise DaneError(f"{path}: checkpoint has no {key!r}")
+            node = node[part]
+        values.append(node)
+    return values
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    version = doc.get("format_version")
+    (version,) = _checkpoint_fields(doc, path, "format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
-    encoder = EncoderParams([np.array(w, dtype=np.float64) for w in doc["encoder"]["weights"]])
+    enc_weights, enc_dims, disc_weights, disc_biases, adv_weight, seed = _checkpoint_fields(
+        doc, path, "encoder.weights", "encoder.layer_dims", "discriminator.weights",
+        "discriminator.biases", "adv_weight", "seed",
+    )
+    encoder = EncoderParams([np.array(w, dtype=np.float64) for w in enc_weights])
     disc = DiscriminatorParams(
-        [np.array(w, dtype=np.float64) for w in doc["discriminator"]["weights"]],
-        [np.array(b, dtype=np.float64).reshape(1, -1) for b in doc["discriminator"]["biases"]],
+        [np.array(w, dtype=np.float64) for w in disc_weights],
+        [np.array(b, dtype=np.float64).reshape(1, -1) for b in disc_biases],
     )
-    if encoder.layer_dims != doc["encoder"]["layer_dims"]:
+    if encoder.layer_dims != enc_dims:
         raise ValueError("checkpoint encoder dims do not match stored weights")
-    return Checkpoint(
-        encoder, disc, float(doc["adv_weight"]), int(doc["seed"]), doc.get("extra", {})
-    )
+    extra = doc.get("extra", {})
+    if not isinstance(extra, dict):
+        raise DaneError(f"{path}: checkpoint 'extra' is not a JSON object")
+    return Checkpoint(encoder, disc, float(adv_weight), int(seed), extra)

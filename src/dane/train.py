@@ -35,7 +35,6 @@ class TrainConfig:
 
     seed: int
     embedding_dim: int = 128
-    hidden_dim: int | None = None  # None: same as embedding_dim
     num_layers: int = 2
     negative_samples: int = 5
     adv_weight: float = 1.0
@@ -46,8 +45,6 @@ class TrainConfig:
     optimizer: str = "adam"
     edge_batch_size: int | None = None  # None: all edges every step
     disc_hidden_layers: int = 2
-    disc_hidden_dim: int | None = None
-    hidden_activation: str = "relu"
 
     def __post_init__(self):
         if self.embedding_dim < 1 or self.num_layers < 1:
@@ -70,8 +67,7 @@ class TrainConfig:
             raise ValueError("disc_hidden_layers must be non-negative")
 
     def encoder_dims(self, feature_dim: int) -> list[int]:
-        hidden = self.embedding_dim if self.hidden_dim is None else self.hidden_dim
-        return [feature_dim] + [hidden] * (self.num_layers - 1) + [self.embedding_dim]
+        return [feature_dim] + [self.embedding_dim] * self.num_layers
 
 
 @dataclass(frozen=True)
@@ -211,19 +207,16 @@ def init_models(
     seeds = derive_seeds(cfg.seed) if seeds is None else seeds
     enc = EncoderParams.init(cfg.encoder_dims(pair.source.feature_dim), seeds.encoder_init)
     disc = DiscriminatorParams.init(
-        cfg.embedding_dim,
-        hidden_dim=cfg.disc_hidden_dim,
-        hidden_layers=cfg.disc_hidden_layers,
-        seed=seeds.disc_init,
+        cfg.embedding_dim, hidden_layers=cfg.disc_hidden_layers, seed=seeds.disc_init
     )
     return enc, disc
 
 
-def _encode_pair(enc, pair, state, cfg) -> tuple[np.ndarray, np.ndarray]:
+def _encode_pair(enc, pair, state) -> tuple[np.ndarray, np.ndarray]:
     """Embeddings of both graphs, read-only, since ``fit`` hands the same
     arrays to the next discriminator round, the snapshot and the hook."""
-    v_src = model.encode(enc, state.prop_src, pair.source.features, cfg.hidden_activation).data
-    v_tgt = model.encode(enc, state.prop_tgt, pair.target.features, cfg.hidden_activation).data
+    v_src = model.encode(enc, state.prop_src, pair.source.features).data
+    v_tgt = model.encode(enc, state.prop_tgt, pair.target.features).data
     v_src.setflags(write=False)
     v_tgt.setflags(write=False)
     return v_src, v_tgt
@@ -268,8 +261,8 @@ def encoder_round(
     Returns the pre-update total loss."""
     tape = GradTape()
     nodes = enc.as_nodes(tape)
-    v_src = model.encode(nodes, state.prop_src, pair.source.features, cfg.hidden_activation)
-    v_tgt = model.encode(nodes, state.prop_tgt, pair.target.features, cfg.hidden_activation)
+    v_src = model.encode(nodes, state.prop_src, pair.source.features)
+    v_tgt = model.encode(nodes, state.prop_tgt, pair.target.features)
     l_gcn = model.gcn_loss(v_src, v_tgt, batch_src, batch_tgt)
     s_src = model.discriminator_forward(disc, v_src)
     s_tgt = model.discriminator_forward(disc, v_tgt)
@@ -314,15 +307,15 @@ def evaluate_losses(
 
 @dataclass
 class FitResult:
+    """The model ``fit`` trained: both players as they stand after the last
+    epoch, that encoder's read-only embeddings of both graphs, and the
+    per-epoch log."""
+
     encoder: EncoderParams
     discriminator: DiscriminatorParams
     embeddings_src: np.ndarray
     embeddings_tgt: np.ndarray
     log: TrainLog
-    best_encoder: EncoderParams
-    best_discriminator: DiscriminatorParams
-    best_epoch: int
-    best_total: float
 
 
 def _edge_slices(edges: np.ndarray, batch_size: int | None, rng) -> list[np.ndarray]:
@@ -367,11 +360,8 @@ def fit(
         for g, seed in ((pair.source, seeds.snapshot_src), (pair.target, seeds.snapshot_tgt))
     )
     log = TrainLog()
-    best_total = math.inf
-    best_epoch = -1
-    best_enc, best_disc = enc.copy(), disc.copy()
     last_good = (enc.copy(), disc.copy(), -1)
-    v_src, v_tgt = _encode_pair(enc, pair, state, cfg)
+    v_src, v_tgt = _encode_pair(enc, pair, state)
 
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
@@ -388,7 +378,7 @@ def fit(
                     tgt_parts[i % len(tgt_parts)], state.sampler_tgt, cfg.negative_samples
                 )
                 encoder_round(pair, enc, disc, cfg, state, batch_src, batch_tgt)
-                v_src, v_tgt = _encode_pair(enc, pair, state, cfg)
+                v_src, v_tgt = _encode_pair(enc, pair, state)
             record = evaluate_losses(v_src, v_tgt, disc, cfg, snap_src, snap_tgt, epoch)
             if not all(
                 math.isfinite(x)
@@ -409,10 +399,6 @@ def fit(
         record.seconds = time.perf_counter() - started
         log.append(record)
         last_good = (enc.copy(), disc.copy(), epoch)
-        if record.l_total < best_total:
-            best_total = record.l_total
-            best_epoch = epoch
-            best_enc, best_disc = enc.copy(), disc.copy()
         if epoch_hook is not None:
             epoch_hook(epoch, record, enc, v_src, v_tgt)
         if epoch % 50 == 0 or epoch == cfg.epochs - 1:
@@ -422,24 +408,14 @@ def fit(
             )
 
     return FitResult(
-        encoder=enc,
-        discriminator=disc,
-        embeddings_src=v_src,
-        embeddings_tgt=v_tgt,
-        log=log,
-        best_encoder=best_enc,
-        best_discriminator=best_disc,
-        best_epoch=best_epoch,
-        best_total=best_total,
+        encoder=enc, discriminator=disc, embeddings_src=v_src, embeddings_tgt=v_tgt, log=log
     )
 
 
-def encode_pair(
-    enc: EncoderParams, pair: GraphPair, hidden_activation: str = "relu"
-) -> tuple[np.ndarray, np.ndarray]:
+def encode_pair(enc: EncoderParams, pair: GraphPair) -> tuple[np.ndarray, np.ndarray]:
     """Embeddings for both graphs from stored parameters, no training state."""
-    v_src = model.encode(enc, build_propagation(pair.source), pair.source.features, hidden_activation)
-    v_tgt = model.encode(enc, build_propagation(pair.target), pair.target.features, hidden_activation)
+    v_src = model.encode(enc, build_propagation(pair.source), pair.source.features)
+    v_tgt = model.encode(enc, build_propagation(pair.target), pair.target.features)
     return v_src.data, v_tgt.data
 
 

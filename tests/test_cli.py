@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from dane.cli import main
-from dane.eval import TransferReport
-from dane.graph import load_graph
+from dane.eval import TransferReport, distribution_distance
+from dane.graph import GraphPair, load_graph
 from dane.model import load_checkpoint
+from dane.train import TrainConfig, fit
 
 
 @pytest.fixture(autouse=True)
@@ -155,6 +156,41 @@ def test_train_writes_checkpoint_embeddings_and_log(tmp_path, capsys):
     assert "trained 3 epochs" in capsys.readouterr().out
 
 
+def load_tiny_pair(data):
+    return GraphPair(
+        *(load_graph(data / f"edges_{t}.tsv", data / f"features_{t}.csv") for t in "ab")
+    )
+
+
+def read_embeddings(path):
+    lines = path.read_text().strip().split("\n")[1:]
+    return np.array([[float(x) for x in line.split(",")[1:]] for line in lines])
+
+
+def test_train_writes_the_model_fit_returns(tmp_path, capsys):
+    data = generate_tiny(tmp_path)
+    out = tmp_path / "run"
+    config = tiny_train_config(tmp_path, epochs=8, encoder_lr=0.05)
+    assert main(["train", "--config", config, "--data", str(data), "--out", str(out),
+                 "--seed", "1"]) == 0
+    result = fit(load_tiny_pair(data), TrainConfig(
+        seed=1, embedding_dim=6, epochs=8, negative_samples=2, encoder_lr=0.05
+    ))
+    # the last epoch is not the lowest-loss one, so only the final model matches
+    totals = [r.l_total for r in result.log.records]
+    assert min(totals) < totals[-1]
+    ckpt = load_checkpoint(out / "checkpoint.json")
+    assert set(ckpt.extra) == {"config"}
+    for written, trained in zip(ckpt.encoder.weights, result.encoder.weights):
+        assert written.tobytes() == trained.tobytes()
+    for written, trained in zip(ckpt.discriminator.arrays(), result.discriminator.arrays()):
+        assert written.tobytes() == trained.tobytes()
+    assert read_embeddings(out / "embeddings_a.csv").tobytes() == result.embeddings_src.tobytes()
+    assert read_embeddings(out / "embeddings_b.csv").tobytes() == result.embeddings_tgt.tobytes()
+    final = result.log.records[-1].l_total
+    assert f"final l_total {final:.6f}" in capsys.readouterr().out
+
+
 def test_train_missing_data_dir(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
     assert code == 2
@@ -280,6 +316,37 @@ def test_eval_rejects_label_outside_its_graph(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("encoder.weights", None, "checkpoint has no 'encoder.weights'"),
+        ("seed", None, "checkpoint has no 'seed'"),
+        ("extra.config.hidden_activation", "sigmoid", "activation 'sigmoid'"),
+        ("extra", [], "'extra' is not a JSON object"),
+    ],
+    ids=["no-encoder-weights", "no-seed", "sigmoid-activation", "extra-not-object"],
+)
+def test_eval_rejects_unusable_checkpoint(tmp_path, capsys, key, value, message):
+    data, run = trained_tiny(tmp_path)
+    path = run / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    *parents, last = key.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+    path.write_text(json.dumps(doc))
+    code = main(["eval", "--data", str(data), "--checkpoint", str(path),
+                 "--out", str(tmp_path / "evaluation")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.json" in err and message in err
+    assert "Traceback" not in err
+
+
 def test_eval_missing_checkpoint(tmp_path, capsys):
     data = generate_tiny(tmp_path)
     code = main(["eval", "--data", str(data), "--checkpoint",
@@ -291,7 +358,12 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
 # --- ablate ----------------------------------------------------------------------
 
 
-def test_ablate_runs_both_arms_and_reports_deltas(tmp_path, capsys):
+def test_ablate_runs_both_arms_and_reports_deltas(tmp_path, capsys, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("ablate evaluates the embeddings fit returned")
+
+    monkeypatch.setattr("dane.cli.load_checkpoint", unused)
+    monkeypatch.setattr("dane.cli.encode_pair", unused)
     data = generate_tiny(tmp_path)
     out = tmp_path / "ablation"
     code = main(
@@ -315,6 +387,12 @@ def test_ablate_runs_both_arms_and_reports_deltas(tmp_path, capsys):
     assert ck_adv.adv_weight == 1.0
     assert ck_base.adv_weight == 0.0
     assert ck_adv.seed == ck_base.seed == 4
+    result = fit(
+        load_tiny_pair(data), TrainConfig(seed=4, embedding_dim=6, epochs=2, negative_samples=2)
+    )
+    assert summary["adversarial"]["mmd2"] == distribution_distance(
+        result.embeddings_src, result.embeddings_tgt
+    )
     capsys.readouterr()
 
 

@@ -5,6 +5,7 @@ from dane import eval as ev
 from dane.errors import (
     EmptyInput,
     LabelVocabularyMismatch,
+    NodeIdOutOfRange,
     ShapeMismatch,
     SingleClassDegenerate,
     TransferProtocolError,
@@ -267,6 +268,21 @@ def test_transfer_rejects_vocabulary_mismatch():
     other = ev.LabelSet.from_mapping({0: ("dog",), 1: ("cat",)})
     with pytest.raises(LabelVocabularyMismatch):
         ev.evaluate_transfer(clf, x + 1.0, other)
+
+
+def test_labels_beyond_the_embeddings_are_rejected():
+    labels_a, labels_b = ev.align_label_sets({0: ("x",), 1: ("y",)}, {0: ("x",), 999: ("y",)})
+    v_a, v_b = np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros((3, 2))
+    with pytest.raises(NodeIdOutOfRange, match="node 999, but the embeddings have 3 rows"):
+        ev.train_classifier(v_b, labels_b)
+    clf = ev.train_classifier(v_a, labels_a, seed=0)
+    with pytest.raises(NodeIdOutOfRange, match="node 999, but the embeddings have 3 rows"):
+        ev.evaluate_transfer(clf, v_b, labels_b)
+    with pytest.raises(NodeIdOutOfRange, match="node 999, but the embeddings have 3 rows"):
+        ev.log_loss(clf, v_b, labels_b)
+    negative = ev.LabelSet(labels_a.classes, {-1: (0,), 1: (1,)}, multi_label=False)
+    with pytest.raises(NodeIdOutOfRange, match="node -1"):
+        ev.train_classifier(v_b, negative)
 
 
 def test_transfer_report_json_round_trip():

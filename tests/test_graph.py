@@ -13,7 +13,6 @@ from dane.graph import (
     Graph,
     GraphPair,
     NegativeSampler,
-    build_negative_sampler,
     build_propagation,
     load_graph,
     load_labels,
@@ -165,13 +164,6 @@ def test_sampler_is_deterministic_per_seed():
 def test_sampler_rejects_fully_isolated_graph():
     with pytest.raises(AllNodesIsolated):
         NegativeSampler([0, 0, 0], seed=0)
-
-
-def test_build_negative_sampler_uses_graph_degrees():
-    g = path_graph(3)
-    s = build_negative_sampler(g, seed=0)
-    w = g.degrees**0.75
-    np.testing.assert_allclose(s.probabilities, w / w.sum(), rtol=1e-15)
 
 
 # --- file round trips ---------------------------------------------------------

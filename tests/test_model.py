@@ -6,7 +6,7 @@ import pytest
 from dane import compute, model
 from dane.compute import GradTape, Tensor2, backward
 from dane.errors import EmptyInput, IndexOutOfRange, ShapeMismatch
-from dane.graph import Graph, build_negative_sampler, build_propagation
+from dane.graph import Graph, NegativeSampler, build_propagation
 
 from conftest import check_gradients
 
@@ -64,13 +64,6 @@ def test_encode_final_layer_is_linear():
     assert (out.data < 0).any()
 
 
-def test_encode_unknown_activation():
-    g = tiny_graph()
-    enc = model.EncoderParams.init([3, 2], seed=0)
-    with pytest.raises(ValueError):
-        model.encode(enc, build_propagation(g), g.features, hidden_activation="tanh")
-
-
 def test_encode_with_tape_shares_weights_across_graphs():
     g_a, g_b = tiny_graph(seed=3), tiny_graph(seed=4)
     p_a, p_b = build_propagation(g_a), build_propagation(g_b)
@@ -97,7 +90,7 @@ def test_encode_with_tape_shares_weights_across_graphs():
 
 def test_sample_edge_batch_shapes_and_anchor_column():
     g = tiny_graph()
-    sampler = build_negative_sampler(g, seed=0)
+    sampler = NegativeSampler(g.degrees, seed=0)
     batch = model.sample_edge_batch(g.edges, sampler, 5)
     assert batch.pairs.shape == (8, 2)
     assert batch.negatives.shape == (8, 5)
@@ -107,7 +100,7 @@ def test_sample_edge_batch_shapes_and_anchor_column():
 
 def test_sample_edge_batch_zero_negatives():
     g = tiny_graph()
-    sampler = build_negative_sampler(g, seed=0)
+    sampler = NegativeSampler(g.degrees, seed=0)
     batch = model.sample_edge_batch(g.edges, sampler, 0)
     assert batch.negatives.shape == (8, 0)
 
