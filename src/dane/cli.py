@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -42,8 +43,14 @@ logger = logging.getLogger(__name__)
 
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
 _SYNTH_KEYS = {f.name for f in dataclasses.fields(SynthSpec)}
-_CLASSIFIER_KEYS = {"classifier_l2", "classifier_epochs", "classifier_lr"}
-_CONFIG_KEYS = _TRAIN_KEYS | _SYNTH_KEYS | _CLASSIFIER_KEYS
+# config key -> declared type, e.g. int, float, str or int | None
+_CONFIG_TYPES = {
+    **typing.get_type_hints(TrainConfig),
+    **typing.get_type_hints(SynthSpec),
+    "classifier_l2": float,
+    "classifier_epochs": int,
+    "classifier_lr": float,
+}
 
 _DATA_FILES = {
     "a": ("edges_a.tsv", "features_a.csv", "labels_a.tsv"),
@@ -82,10 +89,25 @@ def _load_config(path) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise DaneError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    unknown = sorted(set(doc) - set(_CONFIG_TYPES))
     if unknown:
         raise DaneError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    for key, value in doc.items():
+        kinds = typing.get_args(_CONFIG_TYPES[key]) or (_CONFIG_TYPES[key],)
+        if not any(_fits(value, kind) for kind in kinds):
+            names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+            raise DaneError(f"{path}: config key {key!r} must be {names}, got {value!r}")
     return doc
+
+
+def _fits(value, kind: type) -> bool:
+    """JSON value against a declared field type: an int field takes no
+    float or bool, a float field takes an int but no bool."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
 
 
 def _gather(args, keys) -> dict:
@@ -276,6 +298,12 @@ def cmd_eval(args) -> int:
         raise DaneError(
             f"{args.checkpoint}: encoder activation {activation!r} is not supported; "
             "only 'relu' is"
+        )
+    width = checkpoint.encoder.layer_dims[0]
+    if width != pair.source.feature_dim:
+        raise DaneError(
+            f"{args.checkpoint}: encoder takes {width} feature columns, but the "
+            f"graphs in {args.data} have {pair.source.feature_dim}"
         )
     options = _classifier_options(args)
     v_a, v_b = encode_pair(checkpoint.encoder, pair)

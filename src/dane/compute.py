@@ -211,24 +211,6 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def log_sigmoid(a) -> Tensor2:
-    """log(sigmoid(x)) computed as -softplus(-x); never returns -inf for
-    finite input, and equals x itself once x is very negative."""
-    a = _as_tensor(a)
-    ad = a.data
-    return _make(-_softplus(-ad), [(a, lambda g: g * expit(-ad))])
-
-
-def row_dot(a, b) -> Tensor2:
-    """Per-row inner product of two (n, d) tensors, yielding (n, 1)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"row_dot: {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    out = (ad * bd).sum(axis=1, keepdims=True)
-    return _make(out, [(a, lambda g: g * bd), (b, lambda g: g * ad)])
-
-
 def gather_rows(a, indices) -> Tensor2:
     """Select rows by index; repeated indices sum their gradients."""
     a = _as_tensor(a)
@@ -237,11 +219,50 @@ def gather_rows(a, indices) -> Tensor2:
         raise IndexOutOfRange(f"row index outside [0, {a.rows})")
 
     def pull(g, idx=idx, shape=a.data.shape):
-        z = np.zeros(shape)
-        np.add.at(z, idx, g)
-        return z
+        # one flat bincount over cell numbers: per cell, the same sums in
+        # the same order as np.add.at, without its per-row dispatch. With
+        # no indices bincount returns int64, hence the cast.
+        n, d = shape
+        cells = ((idx * d)[:, None] + np.arange(d)).reshape(-1)
+        z = np.bincount(cells, weights=g.reshape(-1), minlength=n * d)
+        return z.astype(np.float64, copy=False).reshape(shape)
 
     return _make(a.data[idx], [(a, pull)])
+
+
+def negative_sampling_loss(anchors, candidates) -> Tensor2:
+    """Sum over anchor rows a_i of -log sigmoid(a_i . c_i0) plus, for each
+    further candidate c_ik, -log sigmoid(-a_i . c_ik).
+
+    ``candidates`` holds 1+Q rows per anchor, in anchor order: the linked
+    partner first, then Q negatives (Q may be zero). Fused: one (E, 1+Q)
+    score matrix, a softplus sum that never overflows (a score of -1000 on
+    a partner costs exactly 1000), and both gradients in closed form.
+    """
+    anchors, candidates = _as_tensor(anchors), _as_tensor(candidates)
+    e, d = anchors.shape
+    if e == 0 or candidates.cols != d or candidates.rows < e or candidates.rows % e:
+        raise ShapeMismatch(
+            f"negative_sampling_loss: anchors {anchors.shape} vs candidates "
+            f"{candidates.shape}; need a positive multiple of the anchor rows"
+        )
+    a = anchors.data
+    c = candidates.data.reshape(e, candidates.rows // e, d)
+    # softplus argument: minus the partner's score, plus each negative's
+    arg = np.einsum("ed,ekd->ek", a, c)
+    arg[:, 0] *= -1.0
+    loss = _softplus(arg).sum()
+    # d loss / d score
+    dscore = expit(arg)
+    dscore[:, 0] *= -1.0
+
+    def pull_anchors(g):
+        return np.einsum("ek,ekd->ed", g[0, 0] * dscore, c)
+
+    def pull_candidates(g):
+        return ((g[0, 0] * dscore)[:, :, None] * a[:, None, :]).reshape(-1, d)
+
+    return _make(np.array([[loss]]), [(anchors, pull_anchors), (candidates, pull_candidates)])
 
 
 def sum_all(a) -> Tensor2:

@@ -373,12 +373,21 @@ def distribution_distance(v_a: np.ndarray, v_b: np.ndarray) -> float:
         v_a, v_b = v_b, v_a
     pooled = np.vstack([v_a, v_b])
     sq = (pooled * pooled).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T)
+    # sq_i + sq_j - 2 g_ij with one (2n)^2 temporary instead of three; the
+    # in-place steps do the same arithmetic in the same order
+    gram = pooled @ pooled.T
+    gram *= 2.0
+    d2 = sq[:, None] + sq[None, :]
+    d2 -= gram
+    del gram
     np.maximum(d2, 0.0, out=d2)
-    off_diag = d2[np.triu_indices_from(d2, k=1)]
+    # upper triangle through a boolean mask: no (2n)^2/2 index arrays
+    off_diag = d2[~np.tri(d2.shape[0], dtype=bool)]
     positive = off_diag[off_diag > 0]
-    denom = float(np.median(positive)) if positive.size else 1.0
-    k = np.exp(-d2 / denom)
+    denom = float(np.median(positive, overwrite_input=True)) if positive.size else 1.0
+    del off_diag, positive
+    # d2 / -denom is -d2 / denom exactly; the kernel overwrites d2
+    k = np.exp(np.divide(d2, -denom, out=d2), out=d2)
     na, nb = v_a.shape[0], v_b.shape[0]
     k_aa = k[:na, :na].mean()
     k_bb = k[na:, na:].mean()

@@ -182,13 +182,13 @@ def _data_lines(path):
 def _load_features(path) -> np.ndarray:
     rows: dict[int, list[float]] = {}
     width = None
-    for lineno, text in _data_lines(path):
+    for position, (lineno, text) in enumerate(_data_lines(path)):
         fields = text.split(",")
         try:
             node = int(fields[0])
         except ValueError:
-            if not rows and lineno == 1:
-                continue  # header row
+            if position == 0:
+                continue  # header row: the first line after blanks and comments
             raise MalformedLine(f"{path}:{lineno}: node id {fields[0]!r} is not an integer")
         if node < 0:
             raise MalformedLine(f"{path}:{lineno}: negative node id {node}")

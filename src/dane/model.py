@@ -172,10 +172,6 @@ class EdgeBatch:
     def size(self) -> int:
         return self.pairs.shape[0]
 
-    @property
-    def num_negatives(self) -> int:
-        return self.negatives.shape[1]
-
 
 def sample_edge_batch(
     edges: np.ndarray, sampler: NegativeSampler, num_negatives: int
@@ -193,7 +189,8 @@ def edge_loss(v: Tensor2, batch: EdgeBatch) -> Tensor2:
 
     Sum over pairs of -log sigmoid(v_i . v_j), plus for each negative k of
     pair anchor i, -log sigmoid(-v_i . v_k). Sum reduction: every edge
-    contributes the same weight regardless of batch size.
+    contributes the same weight regardless of batch size. Three tape ops:
+    an anchor gather, a partner-then-negatives gather, and one fused score.
     """
     if batch.size == 0:
         return Tensor2(np.zeros((1, 1)))
@@ -205,19 +202,9 @@ def edge_loss(v: Tensor2, batch: EdgeBatch) -> Tensor2:
             f"edge batch references rows outside [0, {n})"
         )
     anchors = compute.gather_rows(v, batch.pairs[:, 0])
-    partners = compute.gather_rows(v, batch.pairs[:, 1])
-    positive = compute.sum_all(compute.log_sigmoid(compute.row_dot(anchors, partners)))
-    loss = compute.scale(positive, -1.0)
-    if batch.num_negatives > 0:
-        q = batch.num_negatives
-        # anchor row repeated once per negative, flattened in row order
-        anchor_idx = np.repeat(batch.pairs[:, 0], q)
-        neg_rows = compute.gather_rows(v, batch.negatives.reshape(-1))
-        anchor_rows = compute.gather_rows(v, anchor_idx)
-        scores = compute.row_dot(anchor_rows, neg_rows)
-        negative = compute.sum_all(compute.log_sigmoid(compute.scale(scores, -1.0)))
-        loss = compute.add(loss, compute.scale(negative, -1.0))
-    return loss
+    # per anchor: its partner, then its Q negatives
+    candidates = compute.gather_rows(v, np.hstack([batch.pairs[:, 1:], batch.negatives]))
+    return compute.negative_sampling_loss(anchors, candidates)
 
 
 def gcn_loss(

@@ -75,6 +75,35 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert "epochz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("epochs", 2.5),
+        ("epochs", True),
+        ("embedding_dim", "8"),
+        ("edge_batch_size", 2.0),
+        ("adv_weight", "1"),
+        ("p_in", False),
+        ("optimizer", 1),
+        ("classifier_epochs", 1.5),
+    ],
+)
+def test_config_value_of_wrong_type_is_rejected(tmp_path, capsys, key, value):
+    config = write_config(tmp_path / "c.json", **{key: value})
+    code = main(["generate", "--config", config, "--out", str(tmp_path / "d")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "c.json" in err and repr(key) in err
+    assert "Traceback" not in err
+
+
+def test_config_float_field_takes_an_int(tmp_path, capsys):
+    # and an int-or-null field takes null
+    config = tiny_data_config(tmp_path, noise_sigma=1, edge_batch_size=None)
+    assert main(["generate", "--config", config, "--out", str(tmp_path / "d")]) == 0
+    capsys.readouterr()
+
+
 def test_malformed_config_is_rejected(tmp_path, capsys):
     bad = tmp_path / "c.json"
     bad.write_text("{not json")
@@ -344,6 +373,20 @@ def test_eval_rejects_unusable_checkpoint(tmp_path, capsys, key, value, message)
     assert code == 2
     err = capsys.readouterr().err
     assert "checkpoint.json" in err and message in err
+    assert "Traceback" not in err
+
+
+def test_eval_rejects_checkpoint_of_another_feature_width(tmp_path, capsys):
+    _, run = trained_tiny(tmp_path)
+    wider = tmp_path / "wider"
+    config = tiny_data_config(tmp_path, feature_dim=5)
+    assert main(["generate", "--config", config, "--out", str(wider)]) == 0
+    path = run / "checkpoint.json"
+    code = main(["eval", "--data", str(wider), "--checkpoint", str(path),
+                 "--out", str(tmp_path / "evaluation")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "takes 4 feature columns" in err and "have 5" in err
     assert "Traceback" not in err
 
 

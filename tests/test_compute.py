@@ -58,22 +58,36 @@ def test_overflow_inside_op_is_caught():
 # --- frozen forward values ---------------------------------------------------
 
 
-def test_log_sigmoid_at_zero_is_minus_log2():
-    got = compute.log_sigmoid(Tensor2([[0.0]])).item()
-    assert got == pytest.approx(-0.6931471805599453, rel=1e-15)
+def _ns_loss(anchor_row, candidate_rows) -> float:
+    return compute.negative_sampling_loss(
+        Tensor2([anchor_row]), Tensor2(candidate_rows)
+    ).item()
 
 
-def test_log_sigmoid_large_positive():
-    # log(sigmoid(10)) = -log(1 + e^-10)
-    got = compute.log_sigmoid(Tensor2([[10.0]])).item()
-    assert got == pytest.approx(-4.539889921686465e-05, rel=1e-12)
+def test_negative_sampling_loss_at_zero_score_is_log2():
+    assert _ns_loss([0.0], [[1.0]]) == pytest.approx(0.6931471805599453, rel=1e-15)
+    # a partner and two negatives, all scored 0
+    assert _ns_loss([0.0, 0.0], [[1.0, 2.0]] * 3) == pytest.approx(
+        3 * 0.6931471805599453, rel=1e-15
+    )
 
 
-def test_log_sigmoid_saturates_exactly_for_large_negative():
-    # -softplus(50) collapses to -50 at double precision; a naive
-    # log(1/(1+e^50)) would overflow or return -inf instead
-    assert compute.log_sigmoid(Tensor2([[-50.0]])).item() == -50.0
-    assert compute.log_sigmoid(Tensor2([[-1000.0]])).item() == -1000.0
+def test_negative_sampling_loss_large_positive():
+    # -log(sigmoid(10)) = log(1 + e^-10), for a partner scored 10 and for a
+    # negative scored -10
+    assert _ns_loss([2.0], [[5.0]]) == pytest.approx(4.539889921686465e-05, rel=1e-12)
+    assert _ns_loss([2.0], [[0.0], [-5.0]]) == pytest.approx(
+        -np.log(0.5) + 4.539889921686465e-05, rel=1e-12
+    )
+
+
+def test_negative_sampling_loss_saturates_exactly_for_wrong_scores():
+    # softplus(50) collapses to 50 at double precision; a naive
+    # -log(1/(1+e^50)) would overflow or return inf instead
+    assert _ns_loss([-50.0], [[1.0]]) == 50.0
+    assert _ns_loss([-1000.0], [[1.0]]) == 1000.0
+    # a negative scored +1000 costs as much as a partner scored -1000
+    assert _ns_loss([1000.0], [[0.0], [1.0]]) == 1000.0 + 0.6931471805599453
 
 
 def test_relu_forward():
@@ -108,9 +122,25 @@ def test_matmul_shape_mismatch():
 
 def test_elementwise_shape_mismatch():
     a, b = Tensor2(np.zeros((2, 3))), Tensor2(np.zeros((3, 2)))
-    for op in (compute.add, compute.mul, compute.row_dot):
+    for op in (compute.add, compute.mul):
         with pytest.raises(ShapeMismatch):
             op(a, b)
+
+
+@pytest.mark.parametrize(
+    "anchors, candidates",
+    [
+        ((2, 3), (3, 3)),  # 1.5 candidates per anchor
+        ((2, 3), (0, 3)),  # no partner
+        ((2, 3), (4, 2)),  # widths differ
+        ((0, 3), (0, 3)),  # no anchors
+    ],
+)
+def test_negative_sampling_loss_rows_must_align(anchors, candidates):
+    with pytest.raises(ShapeMismatch):
+        compute.negative_sampling_loss(
+            Tensor2(np.zeros(anchors)), Tensor2(np.zeros(candidates))
+        )
 
 
 def test_add_bias_requires_row_vector():
@@ -143,7 +173,6 @@ def test_elementwise_gradients():
     check_gradients(lambda n: compute.sum_all(compute.mul(n[0], n[1])), [a, b])
     check_gradients(lambda n: compute.sum_all(compute.add(n[0], n[1])), [a, b])
     check_gradients(lambda n: compute.sum_all(compute.square(n[0])), [a])
-    check_gradients(lambda n: compute.mean_all(compute.row_dot(n[0], n[1])), [a, b])
 
 
 def test_scalar_ops_gradients():
@@ -159,7 +188,6 @@ def test_activation_gradients():
     a = rng.normal(size=(4, 3))
     a[np.abs(a) < 0.05] = 0.1
     check_gradients(lambda n: compute.sum_all(compute.relu(n[0])), [a])
-    check_gradients(lambda n: compute.sum_all(compute.log_sigmoid(n[0])), [a])
 
 
 def test_relu_subgradient_at_zero_is_zero():
@@ -173,7 +201,7 @@ def test_add_bias_gradients():
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
     check_gradients(
-        lambda n: compute.sum_all(compute.log_sigmoid(compute.add_bias(n[0], n[1]))),
+        lambda n: compute.sum_all(compute.square(compute.add_bias(n[0], n[1]))),
         [a, b],
     )
 
@@ -185,6 +213,49 @@ def test_gather_rows_gradients_with_repeats():
     check_gradients(
         lambda n: compute.sum_all(compute.square(compute.gather_rows(n[0], idx))),
         [a],
+    )
+
+
+@pytest.mark.parametrize("idx", [[0, 2, 2, 4, 0, 0, 2], []], ids=["repeats", "empty"])
+def test_gather_rows_gradient_equals_add_at_bitwise(idx):
+    # d/da sum(gather(a, idx) * w) is w scattered onto rows idx; weights of
+    # very different magnitudes make a changed summation order show
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(5, 3))
+    w = np.exp(8.0 * rng.normal(size=(len(idx), 3)))
+    _, (got,) = tape_grads(
+        lambda n: compute.sum_all(compute.mul(compute.gather_rows(n[0], idx), w)), [a]
+    )
+    want = np.zeros_like(a)
+    np.add.at(want, np.asarray(idx, dtype=np.int64), w)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q", [0, 2])
+def test_negative_sampling_loss_gradients(q):
+    rng = np.random.default_rng(12)
+    anchors, candidates = rng.normal(size=(3, 4)), rng.normal(size=(3 * (1 + q), 4))
+    # scaled, so each pull must apply its upstream gradient
+    check_gradients(
+        lambda n: compute.scale(compute.negative_sampling_loss(n[0], n[1]), -2.5),
+        [anchors, candidates],
+    )
+
+
+@pytest.mark.parametrize("q", [0, 3])
+def test_negative_sampling_loss_gradients_through_repeated_rows(q):
+    # anchors repeat, and a row can be partner and negative of one anchor
+    rng = np.random.default_rng(13)
+    v = rng.normal(size=(5, 3))
+    anchor_idx = [0, 0, 3, 1]
+    candidate_idx = rng.integers(0, 5, size=(4, 1 + q))
+    candidate_idx[0, :] = 2
+    check_gradients(
+        lambda n: compute.negative_sampling_loss(
+            compute.gather_rows(n[0], anchor_idx), compute.gather_rows(n[0], candidate_idx)
+        ),
+        [v],
     )
 
 
@@ -217,8 +288,8 @@ def test_spmm_gradients():
 
 
 def test_composite_pipeline_gradients():
-    # two layers with an activation, feeding a log-sigmoid edge score: the
-    # shape of everything the encoder loss will build later
+    # two layers with an activation, feeding the fused edge score: the
+    # shape of everything the encoder loss builds
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], np.zeros((5, 3)))
     p = build_propagation(g)
     rng = np.random.default_rng(9)
@@ -229,10 +300,9 @@ def test_composite_pipeline_gradients():
         h = compute.relu(compute.matmul(compute.spmm(p, Tensor2(x)), nodes[0]))
         v = compute.matmul(compute.spmm(p, h), nodes[1])
         heads = compute.gather_rows(v, [0, 1, 2])
-        tails = compute.gather_rows(v, [1, 2, 3])
-        return compute.scale(
-            compute.sum_all(compute.log_sigmoid(compute.row_dot(heads, tails))), -1.0
-        )
+        # partner then one negative per head
+        tails = compute.gather_rows(v, [1, 4, 2, 0, 3, 3])
+        return compute.negative_sampling_loss(heads, tails)
 
     check_gradients(build, [w0, w1], atol=1e-6)
 

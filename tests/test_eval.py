@@ -341,6 +341,32 @@ def test_mmd_non_negative_on_near_identical_clouds():
     assert ev.distribution_distance(a, b) >= 0.0
 
 
+def _mmd_out_of_place(v_a, v_b):
+    # the plain formula, every step into a fresh array; the library's
+    # in-place version must give the same bits
+    key_a, key_b = (v_a.shape, v_a.tobytes()), (v_b.shape, v_b.tobytes())
+    if key_b < key_a:
+        v_a, v_b = v_b, v_a
+    pooled = np.vstack([v_a, v_b])
+    sq = (pooled * pooled).sum(axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T), 0.0)
+    off_diag = d2[np.triu_indices_from(d2, k=1)]
+    k = np.exp(-d2 / np.median(off_diag[off_diag > 0]))
+    na = v_a.shape[0]
+    return max(float(k[:na, :na].mean() + k[na:, na:].mean() - 2.0 * k[:na, na:].mean()), 0.0)
+
+
+@pytest.mark.parametrize(
+    "na, nb, d, scale, shift",
+    [(5, 7, 3, 1.0, 0.0), (300, 300, 32, 1.0, 0.3), (50, 30, 8, 10.0, 1.0), (40, 40, 2, 1e-3, 0.0)],
+)
+def test_mmd_equals_out_of_place_formula_bitwise(na, nb, d, scale, shift):
+    rng = np.random.default_rng(22)
+    a = scale * rng.normal(size=(na, d))
+    b = scale * rng.normal(size=(nb, d)) + shift
+    assert ev.distribution_distance(a, b) == _mmd_out_of_place(a, b)
+
+
 def test_mmd_input_validation():
     with pytest.raises(ShapeMismatch):
         ev.distribution_distance(np.zeros((3, 2)), np.zeros((3, 4)))

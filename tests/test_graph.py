@@ -186,6 +186,27 @@ def test_feature_header_is_optional(tmp_path):
     assert back.features.tobytes() == g.features.tobytes()
 
 
+def test_feature_header_after_comments_and_blanks(tmp_path):
+    (tmp_path / "e.tsv").write_text("0\t1\n")
+    (tmp_path / "f.csv").write_text("# note\n\nnode,f0,f1\n0,1.0,2.0\n1,3.0,4.0\n")
+    g = load_graph(tmp_path / "e.tsv", tmp_path / "f.csv")
+    np.testing.assert_array_equal(g.features, [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("node,f0\nnode,f0\n0,1.0\n", 2),  # a second header
+        ("# note\n0,1.0\nx,2.0\n", 3),  # a non-integer id after data
+    ],
+)
+def test_feature_non_integer_id_after_first_data_line_rejected(tmp_path, text, line):
+    (tmp_path / "e.tsv").write_text("")
+    (tmp_path / "f.csv").write_text(text)
+    with pytest.raises(MalformedLine, match=rf"f\.csv:{line}: node id"):
+        load_graph(tmp_path / "e.tsv", tmp_path / "f.csv")
+
+
 def test_label_file_round_trip(tmp_path):
     labels = {0: ("red",), 2: ("blue", "red"), 1: ("blue",)}
     write_label_file(tmp_path / "labels.tsv", labels)

@@ -95,7 +95,7 @@ def test_sample_edge_batch_shapes_and_anchor_column():
     assert batch.pairs.shape == (8, 2)
     assert batch.negatives.shape == (8, 5)
     np.testing.assert_array_equal(batch.pairs, g.edges)
-    assert batch.size == 8 and batch.num_negatives == 5
+    assert batch.size == 8
 
 
 def test_sample_edge_batch_zero_negatives():
@@ -174,6 +174,17 @@ def test_edge_loss_gradients():
         np.array([[0, 1], [1, 2], [3, 4]]), np.array([[2, 0], [4, 4], [0, 1]])
     )
     check_gradients(lambda n: model.edge_loss(n[0], batch), [v])
+
+
+@pytest.mark.parametrize("q", [0, 4])
+def test_edge_loss_records_three_tape_ops(q):
+    # an anchor gather, a partner-then-negatives gather, one fused score
+    rng = np.random.default_rng(10)
+    tape = GradTape()
+    v = tape.parameter(rng.normal(size=(6, 2)))
+    batch = model.EdgeBatch(np.array([[0, 1], [2, 3], [4, 5]]), rng.integers(0, 6, size=(3, q)))
+    model.edge_loss(v, batch)
+    assert len(tape._records) == 3
 
 
 def test_gcn_loss_adds_both_graphs():
