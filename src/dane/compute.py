@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit
 
 from .errors import (
@@ -179,14 +180,6 @@ def add_scalar(a, c: float) -> Tensor2:
     return _make(a.data + float(c), [(a, lambda g: g)])
 
 
-def mul(a, b) -> Tensor2:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    return _make(ad * bd, [(a, lambda g: g * bd), (b, lambda g: g * ad)])
-
-
 def scale(a, c: float) -> Tensor2:
     a = _as_tensor(a)
     c = float(c)
@@ -212,7 +205,8 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def gather_rows(a, indices) -> Tensor2:
-    """Select rows by index; repeated indices sum their gradients."""
+    """Select rows by index; repeated indices sum their gradients. The
+    edge loss gathers its E anchor rows with it."""
     a = _as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
@@ -230,39 +224,52 @@ def gather_rows(a, indices) -> Tensor2:
     return _make(a.data[idx], [(a, pull)])
 
 
-def negative_sampling_loss(anchors, candidates) -> Tensor2:
-    """Sum over anchor rows a_i of -log sigmoid(a_i . c_i0) plus, for each
-    further candidate c_ik, -log sigmoid(-a_i . c_ik).
+def negative_sampling_loss(anchors, v, candidates) -> Tensor2:
+    """Sum over anchor rows a_i of -log sigmoid(a_i . v[c_i0]) plus, for
+    each further candidate c_ik, -log sigmoid(-a_i . v[c_ik]).
 
-    ``candidates`` holds 1+Q rows per anchor, in anchor order: the linked
-    partner first, then Q negatives (Q may be zero). Fused: one (E, 1+Q)
-    score matrix, a softplus sum that never overflows (a score of -1000 on
-    a partner costs exactly 1000), and both gradients in closed form.
+    ``candidates`` is an (E, 1+Q) array of row ids of ``v``, one row per
+    anchor: the linked partner first, then Q negatives (Q may be zero).
+    The forward pass scores the (E, 1+Q) matrix and sums a softplus that
+    never overflows (a score of -1000 on a partner costs exactly 1000).
+    Only E x (1+Q) values reach the tape: the gradient is the sparse E x n
+    matrix S of g * d loss / d score at (i, c_ik), and the two pulls are
+    ``S @ v`` for the anchors and ``S.T @ anchors`` for ``v``.
     """
-    anchors, candidates = _as_tensor(anchors), _as_tensor(candidates)
+    anchors, v = _as_tensor(anchors), _as_tensor(v)
+    cand = np.asarray(candidates, dtype=np.int64)
     e, d = anchors.shape
-    if e == 0 or candidates.cols != d or candidates.rows < e or candidates.rows % e:
+    if e == 0 or cand.ndim != 2 or cand.shape[0] != e or cand.shape[1] == 0 or v.cols != d:
         raise ShapeMismatch(
-            f"negative_sampling_loss: anchors {anchors.shape} vs candidates "
-            f"{candidates.shape}; need a positive multiple of the anchor rows"
+            f"negative_sampling_loss: anchors {anchors.shape}, v {v.shape}, candidates "
+            f"{cand.shape}; need one row of at least one id per anchor, equal widths"
         )
-    a = anchors.data
-    c = candidates.data.reshape(e, candidates.rows // e, d)
+    if cand.min() < 0 or cand.max() >= v.rows:
+        raise IndexOutOfRange(f"candidate id outside [0, {v.rows})")
+    a, vd = anchors.data, v.data
     # softplus argument: minus the partner's score, plus each negative's
-    arg = np.einsum("ed,ekd->ek", a, c)
+    arg = np.einsum("ed,ekd->ek", a, vd[cand])
     arg[:, 0] *= -1.0
-    loss = _softplus(arg).sum()
+    out = np.array([[_softplus(arg).sum()]])
+    if not (anchors.requires_grad or v.requires_grad):
+        return Tensor2(out)
     # d loss / d score
     dscore = expit(arg)
     dscore[:, 0] *= -1.0
+    k = cand.shape[1]
+    held = [None, None]  # (upstream g, S): both pulls of one backward share S
 
-    def pull_anchors(g):
-        return np.einsum("ek,ekd->ed", g[0, 0] * dscore, c)
+    def weighted(g):
+        # rows of S are already sorted by anchor, so no sort is needed
+        if held[0] is not g:
+            s = sparse.csr_matrix(
+                ((g[0, 0] * dscore).ravel(), cand.ravel(), np.arange(0, e * k + 1, k)),
+                shape=(e, v.rows),
+            )
+            held[:] = g, s
+        return held[1]
 
-    def pull_candidates(g):
-        return ((g[0, 0] * dscore)[:, :, None] * a[:, None, :]).reshape(-1, d)
-
-    return _make(np.array([[loss]]), [(anchors, pull_anchors), (candidates, pull_candidates)])
+    return _make(out, [(anchors, lambda g: weighted(g) @ vd), (v, lambda g: weighted(g).T @ a)])
 
 
 def sum_all(a) -> Tensor2:

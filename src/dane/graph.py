@@ -157,16 +157,37 @@ class NegativeSampler:
         probabilities = weights / total
         probabilities.setflags(write=False)
         self.probabilities = probabilities
-        self._cumulative = np.cumsum(probabilities)
-        self._cumulative[-1] = 1.0  # guard against rounding just below 1
+        # Only nodes of positive weight can be drawn. Over them, a draw u is
+        # np.searchsorted(cumulative, u, side="right"), which a guide table
+        # (Chen & Asau 1974) finds in O(1) expected steps: bucket
+        # floor(u * m) starts at the number of cumulative values in lower
+        # buckets. Rounding of the product is monotone, so that start never
+        # passes the answer, even where u * m rounds up to a bucket edge.
+        self._nodes = np.flatnonzero(weights)
+        cumulative = np.cumsum(probabilities[self._nodes])
+        cumulative[-1] = 1.0  # guard against rounding just below 1
+        m = cumulative.size
+        self._cumulative = cumulative
+        self._guide = np.searchsorted(np.floor(cumulative * m), np.arange(m), side="left")
         self._rng = np.random.default_rng(seed)
         self.seed = seed
 
     def sample(self, count: int) -> np.ndarray:
         if count < 0:
             raise ValueError("count must be non-negative")
-        u = self._rng.random(count)
-        return np.searchsorted(self._cumulative, u, side="right").astype(np.int64)
+        return self._lookup(self._rng.random(count))
+
+    def _lookup(self, u: np.ndarray) -> np.ndarray:
+        """The node of each u in [0, 1); u * m < m there, so the bucket
+        exists."""
+        cumulative = self._cumulative
+        idx = self._guide[(u * cumulative.size).astype(np.int64)]
+        # advance while cumulative[idx] <= u; cumulative[-1] = 1 stops it
+        behind = np.flatnonzero(cumulative[idx] <= u)
+        while behind.size:
+            idx[behind] += 1
+            behind = behind[cumulative[idx[behind]] <= u[behind]]
+        return self._nodes[idx]
 
 
 def _data_lines(path):

@@ -18,13 +18,19 @@ import numpy as np
 
 from . import compute
 from .compute import GradTape, Tensor2
-from .errors import DaneError, EmptyInput, IndexOutOfRange, ShapeMismatch
+from .errors import DaneError, EmptyInput, ShapeMismatch
 from .graph import NegativeSampler, PropagationMatrix
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
+def _check_consecutive(weights) -> None:
+    for a, b in zip(weights, weights[1:]):
+        if a.shape[1] != b.shape[0]:
+            raise ShapeMismatch(f"consecutive layers disagree: {a.shape} then {b.shape}")
 
 
 class EncoderParams:
@@ -36,11 +42,7 @@ class EncoderParams:
     def __init__(self, weights: list[np.ndarray]):
         if not weights:
             raise ValueError("encoder needs at least one layer")
-        for a, b in zip(weights, weights[1:]):
-            if a.shape[1] != b.shape[0]:
-                raise ShapeMismatch(
-                    f"consecutive layers disagree: {a.shape} then {b.shape}"
-                )
+        _check_consecutive(weights)
         self.weights = [np.ascontiguousarray(w, dtype=np.float64) for w in weights]
 
     @classmethod
@@ -84,6 +86,10 @@ class DiscriminatorParams:
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
         if len(weights) != len(biases):
             raise ValueError("one bias row per weight matrix")
+        _check_consecutive(weights)
+        for w, b in zip(weights, biases):
+            if np.shape(b) != (1, w.shape[1]):
+                raise ShapeMismatch(f"bias {np.shape(b)} does not fit weights {w.shape}")
         self.weights = [np.ascontiguousarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.ascontiguousarray(b, dtype=np.float64) for b in biases]
 
@@ -189,22 +195,17 @@ def edge_loss(v: Tensor2, batch: EdgeBatch) -> Tensor2:
 
     Sum over pairs of -log sigmoid(v_i . v_j), plus for each negative k of
     pair anchor i, -log sigmoid(-v_i . v_k). Sum reduction: every edge
-    contributes the same weight regardless of batch size. Three tape ops:
-    an anchor gather, a partner-then-negatives gather, and one fused score.
+    contributes the same weight regardless of batch size. Two tape ops: a
+    gather of the E anchor rows, and one sampled score of each anchor
+    against its partner and negatives, whose gradient is two sparse
+    products (see :func:`compute.negative_sampling_loss`).
     """
     if batch.size == 0:
         return Tensor2(np.zeros((1, 1)))
-    n = v.rows
-    if batch.pairs.max() >= n or (
-        batch.negatives.size and batch.negatives.max() >= n
-    ):
-        raise IndexOutOfRange(
-            f"edge batch references rows outside [0, {n})"
-        )
     anchors = compute.gather_rows(v, batch.pairs[:, 0])
     # per anchor: its partner, then its Q negatives
-    candidates = compute.gather_rows(v, np.hstack([batch.pairs[:, 1:], batch.negatives]))
-    return compute.negative_sampling_loss(anchors, candidates)
+    candidates = np.hstack([batch.pairs[:, 1:], batch.negatives])
+    return compute.negative_sampling_loss(anchors, v, candidates)
 
 
 def gcn_loss(
@@ -334,24 +335,71 @@ def _checkpoint_fields(doc, path, *keys: str) -> list:
     return values
 
 
+def _checkpoint_matrix(value, path, key: str) -> np.ndarray:
+    """A non-empty finite 2-D float64 array from a JSON list of lists, or a
+    :class:`DaneError` naming the file and the key."""
+    try:
+        m = np.array(value) if isinstance(value, list) else None
+    except ValueError:  # ragged rows
+        m = None
+    if m is None or m.dtype.kind not in "iuf" or m.ndim != 2 or m.size == 0:
+        raise DaneError(f"{path}: checkpoint {key} is not a rectangular list of numbers")
+    m = m.astype(np.float64)
+    if not np.isfinite(m).all():
+        raise DaneError(f"{path}: checkpoint {key} holds a non-finite value")
+    return m
+
+
+def _checkpoint_matrices(values, path, key: str) -> list[np.ndarray]:
+    if not isinstance(values, list) or not values:
+        raise DaneError(f"{path}: checkpoint {key} is not a non-empty list")
+    return [_checkpoint_matrix(v, path, f"{key}[{i}]") for i, v in enumerate(values)]
+
+
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a checkpoint written by :func:`save_checkpoint`. Anything that
+    could not have been written by it raises a :class:`DaneError` that
+    names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DaneError(f"{path}:{exc.lineno}: checkpoint is not valid JSON: {exc.msg}") from None
+    except UnicodeDecodeError:
+        raise DaneError(f"{path}: checkpoint is not UTF-8 text") from None
     (version,) = _checkpoint_fields(doc, path, "format_version")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {version!r}")
+        raise DaneError(f"{path}: unsupported checkpoint format_version {version!r}")
     enc_weights, enc_dims, disc_weights, disc_biases, adv_weight, seed = _checkpoint_fields(
         doc, path, "encoder.weights", "encoder.layer_dims", "discriminator.weights",
         "discriminator.biases", "adv_weight", "seed",
     )
-    encoder = EncoderParams([np.array(w, dtype=np.float64) for w in enc_weights])
-    disc = DiscriminatorParams(
-        [np.array(w, dtype=np.float64) for w in disc_weights],
-        [np.array(b, dtype=np.float64).reshape(1, -1) for b in disc_biases],
-    )
+    try:
+        encoder = EncoderParams(_checkpoint_matrices(enc_weights, path, "encoder.weights"))
+    except ShapeMismatch as exc:
+        raise DaneError(f"{path}: checkpoint encoder: {exc}") from None
     if encoder.layer_dims != enc_dims:
-        raise ValueError("checkpoint encoder dims do not match stored weights")
+        raise DaneError(
+            f"{path}: checkpoint encoder.layer_dims {enc_dims!r} do not match its "
+            f"weights, which give {encoder.layer_dims}"
+        )
+    try:
+        disc = DiscriminatorParams(
+            _checkpoint_matrices(disc_weights, path, "discriminator.weights"),
+            _checkpoint_matrices(disc_biases, path, "discriminator.biases"),
+        )
+    except (ShapeMismatch, ValueError) as exc:
+        raise DaneError(f"{path}: checkpoint discriminator: {exc}") from None
+    if disc.layer_dims[0] != encoder.output_dim:
+        raise DaneError(
+            f"{path}: checkpoint discriminator takes {disc.layer_dims[0]} inputs, "
+            f"but the encoder gives {encoder.output_dim}"
+        )
+    if isinstance(adv_weight, bool) or not isinstance(adv_weight, (int, float)):
+        raise DaneError(f"{path}: checkpoint adv_weight {adv_weight!r} is not a number")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise DaneError(f"{path}: checkpoint seed {seed!r} is not an integer")
     extra = doc.get("extra", {})
     if not isinstance(extra, dict):
         raise DaneError(f"{path}: checkpoint 'extra' is not a JSON object")
-    return Checkpoint(encoder, disc, float(adv_weight), int(seed), extra)
+    return Checkpoint(encoder, disc, float(adv_weight), seed, extra)

@@ -376,6 +376,74 @@ def test_eval_rejects_unusable_checkpoint(tmp_path, capsys, key, value, message)
     assert "Traceback" not in err
 
 
+def _eval_error(tmp_path, capsys, data, path):
+    code = main(["eval", "--data", str(data), "--checkpoint", str(path),
+                 "--out", str(tmp_path / "evaluation")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["truncated-json", "not-utf8"])
+def test_eval_names_the_checkpoint_it_cannot_parse(tmp_path, capsys, binary):
+    data, run = trained_tiny(tmp_path)
+    path = run / "checkpoint.json"
+    if binary:
+        path.write_bytes(b"\xff\xfe{}")
+        assert f"{path}: checkpoint is not UTF-8 text" in _eval_error(tmp_path, capsys, data, path)
+        return
+    text = json.dumps(json.loads(path.read_text()), indent=1)
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(json.JSONDecodeError) as bad:
+        json.loads(path.read_text())
+    assert bad.value.lineno > 1
+    err = _eval_error(tmp_path, capsys, data, path)
+    assert f"{path}:{bad.value.lineno}: checkpoint is not valid JSON" in err
+
+
+def _pop(key, index):
+    def mutate(doc):
+        doc[key]["weights"][index].pop()
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: doc.update(format_version=99), "unsupported checkpoint format_version 99"),
+        (lambda doc: doc["encoder"].update(layer_dims=[4, 7]),
+         "encoder.layer_dims [4, 7] do not match its weights"),
+        (lambda doc: doc["encoder"]["weights"][0][0].__setitem__(0, "x"),
+         "encoder.weights[0] is not a rectangular list of numbers"),
+        (lambda doc: doc["encoder"]["weights"][0][1].pop(),
+         "encoder.weights[0] is not a rectangular list of numbers"),
+        (_pop("discriminator", 0), "discriminator takes 5 inputs, but the encoder gives 6"),
+        (_pop("discriminator", 1),
+         "discriminator: consecutive layers disagree: (6, 6) then (5, 6)"),
+        (lambda doc: doc["discriminator"]["biases"][0][0].pop(),
+         "discriminator: bias (1, 5) does not fit weights (6, 6)"),
+        (lambda doc: doc["discriminator"]["biases"].pop(),
+         "discriminator: one bias row per weight matrix"),
+        (lambda doc: doc.update(adv_weight="high"), "adv_weight 'high' is not a number"),
+        (lambda doc: doc.update(seed=1.5), "seed 1.5 is not an integer"),
+    ],
+    ids=[
+        "format-version", "encoder-dims", "non-numeric-weight", "ragged-weights",
+        "discriminator-input-width", "discriminator-layers", "discriminator-bias",
+        "discriminator-bias-count", "adv-weight", "seed",
+    ],
+)
+def test_eval_names_the_inconsistent_checkpoint(tmp_path, capsys, mutate, message):
+    data, run = trained_tiny(tmp_path)
+    path = run / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    err = _eval_error(tmp_path, capsys, data, path)
+    assert f"{path}: " in err and message in err
+
+
 def test_eval_rejects_checkpoint_of_another_feature_width(tmp_path, capsys):
     _, run = trained_tiny(tmp_path)
     wider = tmp_path / "wider"

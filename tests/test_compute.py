@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from dane import compute
 from dane.compute import GradTape, Tensor2, backward
@@ -52,15 +53,16 @@ def test_item_requires_scalar():
 def test_overflow_inside_op_is_caught():
     big = Tensor2(np.full((1, 1), 1e200))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
-        compute.mul(big, big)
+        compute.square(big)
 
 
 # --- frozen forward values ---------------------------------------------------
 
 
 def _ns_loss(anchor_row, candidate_rows) -> float:
+    # one anchor scored against every row of v: the partner, then negatives
     return compute.negative_sampling_loss(
-        Tensor2([anchor_row]), Tensor2(candidate_rows)
+        Tensor2([anchor_row]), Tensor2(candidate_rows), [list(range(len(candidate_rows)))]
     ).item()
 
 
@@ -122,24 +124,33 @@ def test_matmul_shape_mismatch():
 
 def test_elementwise_shape_mismatch():
     a, b = Tensor2(np.zeros((2, 3))), Tensor2(np.zeros((3, 2)))
-    for op in (compute.add, compute.mul):
-        with pytest.raises(ShapeMismatch):
-            op(a, b)
+    with pytest.raises(ShapeMismatch):
+        compute.add(a, b)
 
 
 @pytest.mark.parametrize(
     "anchors, candidates",
     [
-        ((2, 3), (3, 3)),  # 1.5 candidates per anchor
-        ((2, 3), (0, 3)),  # no partner
-        ((2, 3), (4, 2)),  # widths differ
-        ((0, 3), (0, 3)),  # no anchors
+        ((2, 3), (3, 2)),  # a candidate row with no anchor
+        ((2, 3), (2, 0)),  # no partner
+        ((2, 2), (2, 2)),  # anchors narrower than v
+        ((0, 3), (0, 2)),  # no anchors
+        ((2, 3), (4,)),  # candidates not one row per anchor
     ],
 )
 def test_negative_sampling_loss_rows_must_align(anchors, candidates):
     with pytest.raises(ShapeMismatch):
         compute.negative_sampling_loss(
-            Tensor2(np.zeros(anchors)), Tensor2(np.zeros(candidates))
+            Tensor2(np.zeros(anchors)), Tensor2(np.zeros((4, 3))), np.zeros(candidates, dtype=int)
+        )
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_negative_sampling_loss_candidates_out_of_range(bad):
+    candidates = [[1, 2], [3, bad]]
+    with pytest.raises(IndexOutOfRange):
+        compute.negative_sampling_loss(
+            Tensor2(np.zeros((2, 3))), Tensor2(np.zeros((4, 3))), candidates
         )
 
 
@@ -170,7 +181,6 @@ def test_matmul_gradients():
 def test_elementwise_gradients():
     rng = np.random.default_rng(2)
     a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-    check_gradients(lambda n: compute.sum_all(compute.mul(n[0], n[1])), [a, b])
     check_gradients(lambda n: compute.sum_all(compute.add(n[0], n[1])), [a, b])
     check_gradients(lambda n: compute.sum_all(compute.square(n[0])), [a])
 
@@ -218,45 +228,95 @@ def test_gather_rows_gradients_with_repeats():
 
 @pytest.mark.parametrize("idx", [[0, 2, 2, 4, 0, 0, 2], []], ids=["repeats", "empty"])
 def test_gather_rows_gradient_equals_add_at_bitwise(idx):
-    # d/da sum(gather(a, idx) * w) is w scattered onto rows idx; weights of
-    # very different magnitudes make a changed summation order show
+    # d/da sum(gather(a, idx)^2) is 2 a[idx] scattered onto rows idx; values
+    # of very different magnitudes make a changed summation order show
     rng = np.random.default_rng(11)
-    a = rng.normal(size=(5, 3))
-    w = np.exp(8.0 * rng.normal(size=(len(idx), 3)))
+    a = np.exp(8.0 * rng.normal(size=(5, 3)))
     _, (got,) = tape_grads(
-        lambda n: compute.sum_all(compute.mul(compute.gather_rows(n[0], idx), w)), [a]
+        lambda n: compute.sum_all(compute.square(compute.gather_rows(n[0], idx))), [a]
     )
+    idx = np.asarray(idx, dtype=np.int64)
     want = np.zeros_like(a)
-    np.add.at(want, np.asarray(idx, dtype=np.int64), w)
+    np.add.at(want, idx, 2.0 * a[idx])
     assert got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("q", [0, 2])
 def test_negative_sampling_loss_gradients(q):
+    # candidate ids repeat within and across rows
     rng = np.random.default_rng(12)
-    anchors, candidates = rng.normal(size=(3, 4)), rng.normal(size=(3 * (1 + q), 4))
+    anchors, v = rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
+    candidates = rng.integers(0, 4, size=(3, 1 + q))
+    candidates[1, :] = 2
     # scaled, so each pull must apply its upstream gradient
     check_gradients(
-        lambda n: compute.scale(compute.negative_sampling_loss(n[0], n[1]), -2.5),
-        [anchors, candidates],
+        lambda n: compute.scale(compute.negative_sampling_loss(n[0], n[1], candidates), -2.5),
+        [anchors, v],
     )
 
 
 @pytest.mark.parametrize("q", [0, 3])
 def test_negative_sampling_loss_gradients_through_repeated_rows(q):
-    # anchors repeat, and a row can be partner and negative of one anchor
+    # anchors repeat, a row can be partner and negative of one anchor, and
+    # an anchor can be its own candidate
     rng = np.random.default_rng(13)
     v = rng.normal(size=(5, 3))
     anchor_idx = [0, 0, 3, 1]
     candidate_idx = rng.integers(0, 5, size=(4, 1 + q))
     candidate_idx[0, :] = 2
+    candidate_idx[2, -1] = 3
     check_gradients(
         lambda n: compute.negative_sampling_loss(
-            compute.gather_rows(n[0], anchor_idx), compute.gather_rows(n[0], candidate_idx)
+            compute.gather_rows(n[0], anchor_idx), n[0], candidate_idx
         ),
         [v],
     )
+
+
+def _negative_sampling_reference_grads(a, v, candidates, g):
+    """Both gradients as the loss computed them from a gathered (E, 1+Q, d)
+    candidate tensor: an einsum for the anchors, and a row scatter of
+    per-candidate products, in candidate order, for v."""
+    c = v[candidates]
+    arg = np.einsum("ed,ekd->ek", a, c)
+    arg[:, 0] *= -1.0
+    dscore = expit(arg)
+    dscore[:, 0] *= -1.0
+    w = g * dscore
+    grad_a = np.einsum("ek,ekd->ed", w, c)
+    grad_v = np.zeros_like(v)
+    np.add.at(grad_v, candidates.ravel(), (w[:, :, None] * a[:, None, :]).reshape(-1, a.shape[1]))
+    return grad_a, grad_v
+
+
+@pytest.mark.parametrize("q", [0, 5])
+def test_negative_sampling_loss_gradients_equal_gathered_reference_bitwise(q):
+    # values of very different magnitudes make a changed summation order
+    # show; ids repeat so rows of v collect many contributions
+    rng = np.random.default_rng(14)
+    a = rng.normal(size=(40, 6)) * np.exp(2.0 * rng.normal(size=(40, 6)))
+    v = rng.normal(size=(7, 6)) * np.exp(2.0 * rng.normal(size=(7, 6)))
+    a, v = a / np.abs(a).max(), v / np.abs(v).max()
+    candidates = rng.integers(0, 7, size=(40, 1 + q))
+    _, (got_a, got_v) = tape_grads(
+        lambda n: compute.scale(compute.negative_sampling_loss(n[0], n[1], candidates), -2.5),
+        [a, v],
+    )
+    want_a, want_v = _negative_sampling_reference_grads(a, v, candidates, -2.5)
+    assert got_a.tobytes() == want_a.tobytes()
+    assert got_v.tobytes() == want_v.tobytes()
+
+
+def test_negative_sampling_loss_untaped_skips_the_gradient(monkeypatch):
+    # a forward pass on constants (the epoch snapshot) builds no gradient
+    def unused(*args):
+        raise AssertionError("expit is only needed for a recorded op")
+
+    monkeypatch.setattr(compute, "expit", unused)
+    out = compute.negative_sampling_loss(Tensor2([[0.0]]), Tensor2([[1.0], [2.0]]), [[0, 1]])
+    assert out.tape is None
+    assert out.item() == pytest.approx(2 * 0.6931471805599453, rel=1e-15)
 
 
 def test_cross_entropy_gradients():
@@ -301,8 +361,7 @@ def test_composite_pipeline_gradients():
         v = compute.matmul(compute.spmm(p, h), nodes[1])
         heads = compute.gather_rows(v, [0, 1, 2])
         # partner then one negative per head
-        tails = compute.gather_rows(v, [1, 4, 2, 0, 3, 3])
-        return compute.negative_sampling_loss(heads, tails)
+        return compute.negative_sampling_loss(heads, v, [[1, 4], [2, 0], [3, 3]])
 
     check_gradients(build, [w0, w1], atol=1e-6)
 
@@ -325,10 +384,11 @@ def test_shared_parameter_accumulates_across_branches():
 
 def test_same_node_twice_in_one_op():
     tape = GradTape()
-    x = tape.parameter(np.array([[3.0, -2.0]]))
-    loss = compute.sum_all(compute.mul(x, x))
+    x = tape.parameter(np.array([[3.0, -2.0], [0.5, 4.0]]))
+    loss = compute.sum_all(compute.matmul(x, x))
     grads = backward(tape, loss)
-    np.testing.assert_array_equal(grads[x], 2.0 * x.data)
+    ones = np.ones((2, 2))
+    np.testing.assert_array_equal(grads[x], ones @ x.data.T + x.data.T @ ones)
 
 
 def test_fanout_diamond():
@@ -381,10 +441,10 @@ def test_constants_are_not_recorded():
     tape = GradTape()
     w = tape.parameter(np.ones((2, 2)))
     c = Tensor2(np.ones((2, 2)))
-    loss = compute.sum_all(compute.mul(w, c))
+    loss = compute.sum_all(compute.matmul(w, c))
     before = len(tape._records)
     grads = backward(tape, loss)
-    np.testing.assert_array_equal(grads[w], np.ones((2, 2)))
+    np.testing.assert_array_equal(grads[w], np.full((2, 2), 2.0))
     assert len(tape._records) == before  # backward itself records nothing
 
 

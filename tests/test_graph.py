@@ -161,6 +161,49 @@ def test_sampler_is_deterministic_per_seed():
     assert (a != c).any()
 
 
+def _searchsorted_draws(probabilities, u):
+    """Draws by one binary search over every node's cumulative probability,
+    the last one that can be drawn and all after it guarded to exactly 1."""
+    cumulative = np.cumsum(probabilities)
+    cumulative[np.flatnonzero(probabilities)[-1]:] = 1.0
+    return np.searchsorted(cumulative, u, side="right")
+
+
+def _sampler_degree_vectors(seed):
+    rng = np.random.default_rng(seed)
+    yield from ([1.0], [0.0, 0.0, 5.0], [5.0, 0.0, 0.0], [0, 2, 0, 0, 3, 0])
+    # equal weights put cumulative values within an ulp of bucket edges
+    yield from ([1.0] * 13, [2.0] * 25 + [0.0])
+    for n in (2, 9, 500):
+        degrees = rng.integers(0, 40, size=n).astype(float)
+        degrees[rng.random(n) < 0.3] = 0.0
+        degrees[rng.integers(n)] = 3.0
+        yield degrees
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampler_lookup_equals_searchsorted(seed):
+    rng = np.random.default_rng(100 + seed)
+    for degrees in _sampler_degree_vectors(seed):
+        s = NegativeSampler(degrees, seed=seed)
+        # bucket edges b/m, one ulp below them (where u*m can round up to
+        # the edge), the cumulative values themselves and one ulp below
+        m = s._cumulative.size
+        edges = np.arange(m) / m
+        u = np.concatenate([
+            rng.random(2000), edges, np.nextafter(edges[1:], 0.0), [np.nextafter(1.0, 0.0)],
+            s._cumulative, np.nextafter(s._cumulative, 0.0),
+        ])
+        u = u[u < 1.0]
+        got = s._lookup(u)
+        np.testing.assert_array_equal(got, _searchsorted_draws(s.probabilities, u))
+        assert got.dtype == np.int64
+        assert (np.asarray(degrees)[got] > 0).all()
+        draws = s.sample(3000)
+        again = NegativeSampler(degrees, seed=seed)._rng.random(3000)
+        np.testing.assert_array_equal(draws, _searchsorted_draws(s.probabilities, again))
+
+
 def test_sampler_rejects_fully_isolated_graph():
     with pytest.raises(AllNodesIsolated):
         NegativeSampler([0, 0, 0], seed=0)

@@ -5,7 +5,7 @@ import pytest
 
 from dane import compute, model
 from dane.compute import GradTape, Tensor2, backward
-from dane.errors import EmptyInput, IndexOutOfRange, ShapeMismatch
+from dane.errors import DaneError, EmptyInput, IndexOutOfRange, ShapeMismatch
 from dane.graph import Graph, NegativeSampler, build_propagation
 
 from conftest import check_gradients
@@ -165,6 +165,8 @@ def test_edge_loss_rejects_bad_indices():
         model.edge_loss(v, model.EdgeBatch(np.array([[0, 7]]), np.zeros((1, 0))))
     with pytest.raises(IndexOutOfRange):
         model.edge_loss(v, model.EdgeBatch(np.array([[0, 1]]), np.array([[9]])))
+    with pytest.raises(IndexOutOfRange):
+        model.edge_loss(v, model.EdgeBatch(np.array([[0, 1]]), np.array([[-1]])))
 
 
 def test_edge_loss_gradients():
@@ -177,14 +179,14 @@ def test_edge_loss_gradients():
 
 
 @pytest.mark.parametrize("q", [0, 4])
-def test_edge_loss_records_three_tape_ops(q):
-    # an anchor gather, a partner-then-negatives gather, one fused score
+def test_edge_loss_records_two_tape_ops(q):
+    # an anchor gather and one sampled score of partners and negatives
     rng = np.random.default_rng(10)
     tape = GradTape()
     v = tape.parameter(rng.normal(size=(6, 2)))
     batch = model.EdgeBatch(np.array([[0, 1], [2, 3], [4, 5]]), rng.integers(0, 6, size=(3, q)))
     model.edge_loss(v, batch)
-    assert len(tape._records) == 3
+    assert len(tape._records) == 2
 
 
 def test_gcn_loss_adds_both_graphs():
@@ -319,7 +321,7 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     doc = json.loads(path.read_text())
     doc["format_version"] = 99
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
+    with pytest.raises(DaneError, match="ckpt.json: unsupported checkpoint format_version 99"):
         model.load_checkpoint(path)
 
 
