@@ -30,6 +30,7 @@ from .errors import DaneError, NonFiniteLoss
 from .graph import (
     GraphPair,
     load_graph,
+    load_json,
     load_labels,
     write_edge_file,
     write_feature_file,
@@ -37,12 +38,10 @@ from .graph import (
 )
 from .model import load_checkpoint, save_checkpoint
 from .synth import SynthSpec, generate_pair
-from .train import TrainConfig, derive_seeds, encode_pair, fit, with_adv_weight
+from .train import TrainConfig, derive_seeds, encode_pair, fit
 
 logger = logging.getLogger(__name__)
 
-_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
-_SYNTH_KEYS = {f.name for f in dataclasses.fields(SynthSpec)}
 # config key -> declared type, e.g. int, float, str or int | None
 _CONFIG_TYPES = {
     **typing.get_type_hints(TrainConfig),
@@ -85,8 +84,7 @@ def _configure_logging() -> None:
 def _load_config(path) -> dict:
     """Strict JSON config: every key must be one this tool understands, so
     a typo fails loudly instead of silently running the defaults."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path, "config")
     if not isinstance(doc, dict):
         raise DaneError(f"{path}: config must be a JSON object")
     unknown = sorted(set(doc) - set(_CONFIG_TYPES))
@@ -110,41 +108,22 @@ def _fits(value, kind: type) -> bool:
     return isinstance(value, kind)
 
 
-def _gather(args, keys) -> dict:
-    """Merge config file values with command line flags; flags win."""
-    merged = {}
+def _config_from(cls, args):
+    """A ``cls`` (TrainConfig or SynthSpec) from the config file's values
+    and the flags set, flags winning; a flag's argparse dest is the config
+    key it overrides. The run seed is 0 when neither sets it."""
     config = _load_config(args.config) if args.config else {}
-    for key in keys:
-        if key in config:
-            merged[key] = config[key]
-    overrides = {
-        "seed": args.seed,
-        "adv_weight": getattr(args, "adv_weight", None),
-        "epochs": getattr(args, "epochs", None),
-        "disc_steps": getattr(args, "disc_steps", None),
-        "embedding_dim": getattr(args, "embedding_dim", None),
-        "negative_samples": getattr(args, "negative_samples", None),
-        "divergence": getattr(args, "divergence", None),
-    }
-    for key, value in overrides.items():
-        if value is not None and key in keys:
-            merged[key] = value
-    return merged
-
-
-def _train_config(args) -> TrainConfig:
-    values = _gather(args, _TRAIN_KEYS)
-    values.setdefault("seed", 0)
-    return TrainConfig(**values)
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    values = {"seed": 0, **config, **flags}
+    return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
 
 
 def _classifier_options(args) -> dict:
+    """The ``classifier_<name>`` keys the config sets, as ``name`` keyword
+    arguments; :func:`eval.train_classifier` holds the defaults."""
     config = _load_config(args.config) if args.config else {}
-    return {
-        "l2": float(config.get("classifier_l2", 1e-3)),
-        "epochs": int(config.get("classifier_epochs", 200)),
-        "lr": float(config.get("classifier_lr", 0.1)),
-    }
+    prefix = "classifier_"
+    return {key[len(prefix):]: value for key, value in config.items() if key.startswith(prefix)}
 
 
 def _require_dir(path) -> None:
@@ -185,9 +164,7 @@ def _write_embeddings(path, v: np.ndarray) -> None:
 
 
 def cmd_generate(args) -> int:
-    values = _gather(args, _SYNTH_KEYS)
-    values.setdefault("seed", 0)
-    spec = SynthSpec(**values)
+    spec = _config_from(SynthSpec, args)
     result = generate_pair(spec)
     os.makedirs(args.out, exist_ok=True)
     for tag, graph, labels in (
@@ -240,7 +217,7 @@ def _run_training(pair, cfg, out_dir):
 def cmd_train(args) -> int:
     _require_dir(args.data)
     pair = _load_pair(args.data)
-    cfg = _train_config(args)
+    cfg = _config_from(TrainConfig, args)
     result = _run_training(pair, cfg, args.out)
     last = result.log.records[-1] if result.log.records else None
     if last is not None:
@@ -327,7 +304,7 @@ def cmd_ablate(args) -> int:
     _require_dir(args.data)
     pair = _load_pair(args.data)
     labels_a, labels_b = _load_pair_labels(args.data, pair)
-    cfg = _train_config(args)
+    cfg = _config_from(TrainConfig, args)
     if cfg.adv_weight == 0.0:
         raise DaneError("ablate needs a non-zero adv_weight to compare against")
     options = _classifier_options(args)
@@ -335,7 +312,7 @@ def cmd_ablate(args) -> int:
     results = {}
     for name, run_cfg in (
         ("adversarial", cfg),
-        ("baseline", with_adv_weight(cfg, 0.0)),
+        ("baseline", dataclasses.replace(cfg, adv_weight=0.0)),
     ):
         out_dir = os.path.join(args.out, name)
         result = _run_training(pair, run_cfg, out_dir)
@@ -439,7 +416,7 @@ def main(argv=None) -> int:
     except NonFiniteLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DaneError, ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (DaneError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -104,17 +104,16 @@ class LabelSet:
 def align_label_sets(
     mapping_a: dict[int, tuple[str, ...]], mapping_b: dict[int, tuple[str, ...]]
 ) -> tuple[LabelSet, LabelSet]:
-    """Two label sets over one vocabulary: the sorted union of both files."""
-    classes = tuple(
-        sorted(
-            {n for names in mapping_a.values() for n in names}
-            | {n for names in mapping_b.values() for n in names}
-        )
-    )
-    multi = any(len(v) > 1 for m in (mapping_a, mapping_b) for v in m.values())
-    return (
-        LabelSet.from_mapping(mapping_a, classes=classes, multi_label=multi),
-        LabelSet.from_mapping(mapping_b, classes=classes, multi_label=multi),
+    """Two label sets over one vocabulary: the one :meth:`LabelSet.from_mapping`
+    picks for both files' labels together, multi-label if either file is."""
+    # the vocabulary and the multi-label flag depend only on the distinct
+    # label tuples; an empty one is left to the per-file sets, whose error
+    # names its node
+    distinct = {tuple(names) for m in (mapping_a, mapping_b) for names in m.values() if names}
+    pooled = LabelSet.from_mapping(dict(enumerate(distinct)))
+    return tuple(
+        LabelSet.from_mapping(m, classes=pooled.classes, multi_label=pooled.multi_label)
+        for m in (mapping_a, mapping_b)
     )
 
 
@@ -181,12 +180,12 @@ def train_classifier(
     seed: int = 0,
     epochs: int = 200,
     lr: float = 0.1,
-    batch_size: int | None = None,
 ) -> Classifier:
-    """Fit the probe on labeled rows of one graph's embeddings by plain
-    SGD from zero weights: softmax regression for single-label data, an
-    independent sigmoid head per class otherwise. The l2 penalty applies
-    to the weight matrix, never the bias."""
+    """Fit the probe on labeled rows of one graph's embeddings by
+    full-batch gradient descent from zero weights, ``epochs`` steps at
+    rate ``lr``: softmax regression for single-label data, an independent
+    sigmoid head per class otherwise. The l2 penalty applies to the weight
+    matrix, never the bias. Needs ``l2 >= 0``, ``epochs >= 0``, ``lr > 0``."""
     embeddings = embeddings.data if isinstance(embeddings, Tensor2) else np.asarray(embeddings, dtype=np.float64)
     node_ids = labels.node_ids()
     if node_ids.size == 0:
@@ -200,6 +199,10 @@ def train_classifier(
             raise SingleClassDegenerate("training labels collapse to one class")
     if l2 < 0:
         raise ValueError("l2 must be non-negative")
+    if epochs < 0:
+        raise ValueError("epochs must be non-negative")
+    if lr <= 0:
+        raise ValueError("lr must be positive")
     x = embeddings[node_ids]
     y = labels.target_matrix(node_ids)
     d, c = x.shape[1], labels.num_classes
@@ -208,22 +211,18 @@ def train_classifier(
         compute.sigmoid_cross_entropy if labels.multi_label else compute.softmax_cross_entropy
     )
     rng = np.random.default_rng(seed)
-    n = x.shape[0]
-    step = n if batch_size is None else min(batch_size, n)
     for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, step):
-            rows = order[start : start + step]
-            tape = GradTape()
-            w_node, b_node = tape.parameter(weights), tape.parameter(bias)
-            z = compute.add_bias(compute.matmul(Tensor2(x[rows]), w_node), b_node)
-            loss = compute.add(
-                data_loss(z, y[rows]),
-                compute.scale(compute.sum_all(compute.square(w_node)), l2),
-            )
-            grads = backward(tape, loss)
-            weights = weights - lr * grads[w_node]
-            bias = bias - lr * grads[b_node]
+        rows = rng.permutation(x.shape[0])  # each epoch sums the rows in a fresh order
+        tape = GradTape()
+        w_node, b_node = tape.parameter(weights), tape.parameter(bias)
+        z = compute.add_bias(compute.matmul(Tensor2(x[rows]), w_node), b_node)
+        loss = compute.add(
+            data_loss(z, y[rows]),
+            compute.scale(compute.sum_all(compute.square(w_node)), l2),
+        )
+        grads = backward(tape, loss)
+        weights = weights - lr * grads[w_node]
+        bias = bias - lr * grads[b_node]
 
     clf = Classifier(
         weights=weights,
@@ -265,10 +264,6 @@ def f1_scores(
     return float(micro), float(per_class.mean()), per_class
 
 
-def _indicator(labels: LabelSet, node_ids: np.ndarray) -> np.ndarray:
-    return labels.target_matrix(node_ids).astype(bool)
-
-
 def _prediction_indicator(clf: Classifier, embeddings: np.ndarray) -> np.ndarray:
     pred = clf.predict(embeddings)
     if clf.multi_label:
@@ -291,32 +286,11 @@ class TransferReport:
     gap: float  # always l_tgt - l_src
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "direction": self.direction,
-                "micro_f1": self.micro_f1,
-                "macro_f1": self.macro_f1,
-                "per_class_f1": self.per_class_f1,
-                "l_src": self.l_src,
-                "l_tgt": self.l_tgt,
-                "gap": self.gap,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "TransferReport":
-        doc = json.loads(text)
-        return cls(
-            direction=doc["direction"],
-            micro_f1=doc["micro_f1"],
-            macro_f1=doc["macro_f1"],
-            per_class_f1=doc["per_class_f1"],
-            l_src=doc["l_src"],
-            l_tgt=doc["l_tgt"],
-            gap=doc["gap"],
-        )
+        return cls(**json.loads(text))
 
 
 def evaluate_transfer(
@@ -340,7 +314,7 @@ def evaluate_transfer(
             "these are the embeddings the classifier was fit on; "
             "evaluate on the other graph"
         )
-    true = _indicator(labels_tgt, node_ids)
+    true = labels_tgt.target_matrix(node_ids).astype(bool)
     predicted = _prediction_indicator(clf, embeddings_tgt[node_ids])
     micro, macro, per_class = f1_scores(true, predicted, labels_tgt.num_classes)
     l_tgt = log_loss(clf, embeddings_tgt, labels_tgt)

@@ -7,6 +7,7 @@ dense float feature row. Node ids are the contiguous range [0, num_nodes).
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 
@@ -15,6 +16,7 @@ import scipy.sparse as sp
 
 from .errors import (
     AllNodesIsolated,
+    DaneError,
     FeatureRowMissing,
     InconsistentFeatureWidth,
     MalformedLine,
@@ -190,10 +192,28 @@ class NegativeSampler:
         return self._nodes[idx]
 
 
+def load_json(path, what: str):
+    """The JSON document in a UTF-8 file, or a :class:`DaneError` naming the
+    file (and the line, for invalid JSON); ``what`` says what it holds."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DaneError(f"{path}:{exc.lineno}: {what} is not valid JSON: {exc.msg}") from None
+    except UnicodeDecodeError:
+        raise DaneError(f"{path}: {what} is not UTF-8 text") from None
+
+
 def _data_lines(path):
-    """Yield (line_number, stripped_text) skipping blanks and # comments."""
-    with open(path, encoding="utf-8") as fh:
+    """Yield (line_number, stripped_text) skipping blanks and # comments;
+    a line that is not UTF-8 raises :class:`MalformedLine`."""
+    # an undecodable byte arrives as a lone surrogate, which encoding rejects
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise MalformedLine(f"{path}:{lineno}: not UTF-8 text") from None
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
@@ -316,11 +336,8 @@ def write_edge_file(path, g: Graph) -> None:
             fh.write(f"{u}\t{v}\n")
 
 
-def write_feature_file(path, g: Graph, header: bool = False) -> None:
+def write_feature_file(path, g: Graph) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            cols = ",".join(f"f{j}" for j in range(g.feature_dim))
-            fh.write(f"node_id,{cols}\n")
         for i in range(g.num_nodes):
             values = ",".join(repr(float(x)) for x in g.features[i])
             fh.write(f"{i},{values}\n")

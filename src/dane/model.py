@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 
 from . import compute
 from .compute import GradTape, Tensor2
 from .errors import DaneError, EmptyInput, ShapeMismatch
-from .graph import NegativeSampler, PropagationMatrix
+from .graph import NegativeSampler, PropagationMatrix, load_json
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -97,14 +98,12 @@ class DiscriminatorParams:
     def init(
         cls,
         input_dim: int,
-        hidden_dim: int | None = None,
         hidden_layers: int = 2,
         seed: int = 0,
     ) -> "DiscriminatorParams":
         if hidden_layers < 0:
             raise ValueError("hidden_layers must be non-negative")
-        hidden_dim = input_dim if hidden_dim is None else hidden_dim
-        dims = [input_dim] + [hidden_dim] * hidden_layers + [1]
+        dims = [input_dim] * (hidden_layers + 1) + [1]
         rng = np.random.default_rng(seed)
         weights = [_glorot(rng, a, b) for a, b in zip(dims, dims[1:])]
         biases = [np.zeros((1, b)) for b in dims[1:]]
@@ -310,15 +309,12 @@ def save_checkpoint(
     _atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
 
-class Checkpoint:
-    __slots__ = ("encoder", "discriminator", "adv_weight", "seed", "extra")
-
-    def __init__(self, encoder, discriminator, adv_weight, seed, extra):
-        self.encoder = encoder
-        self.discriminator = discriminator
-        self.adv_weight = adv_weight
-        self.seed = seed
-        self.extra = extra
+class Checkpoint(NamedTuple):
+    encoder: EncoderParams
+    discriminator: DiscriminatorParams
+    adv_weight: float
+    seed: int
+    extra: dict
 
 
 def _checkpoint_fields(doc, path, *keys: str) -> list:
@@ -360,13 +356,7 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by :func:`save_checkpoint`. Anything that
     could not have been written by it raises a :class:`DaneError` that
     names the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DaneError(f"{path}:{exc.lineno}: checkpoint is not valid JSON: {exc.msg}") from None
-    except UnicodeDecodeError:
-        raise DaneError(f"{path}: checkpoint is not UTF-8 text") from None
+    doc = load_json(path, "checkpoint")
     (version,) = _checkpoint_fields(doc, path, "format_version")
     if version != CHECKPOINT_VERSION:
         raise DaneError(f"{path}: unsupported checkpoint format_version {version!r}")

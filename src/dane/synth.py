@@ -61,6 +61,12 @@ def _block_memberships(spec: SynthSpec) -> np.ndarray:
     return np.repeat(np.arange(spec.num_blocks), spec.nodes_per_block)
 
 
+# Rows of the n x n edge draw taken at a time. rng.random((n, n)) equals the
+# stacked draws of its row blocks bit for bit, so the pair does not depend
+# on this, while the draw's arrays hold _DRAW_ROWS * n entries, not n^2.
+_DRAW_ROWS = 256
+
+
 def _sample_graph(
     rng: np.random.Generator,
     spec: SynthSpec,
@@ -70,10 +76,14 @@ def _sample_graph(
 ) -> Graph:
     blocks = _block_memberships(spec)
     n = spec.num_nodes
-    prob = np.where(blocks[:, None] == blocks[None, :], p_in, p_out)
     # edges first, features second: fixed stream order is part of the contract
-    mask = np.triu(rng.random((n, n)) < prob, k=1)
-    edges = np.argwhere(mask)
+    parts = []
+    for start in range(0, n, _DRAW_ROWS):
+        prob = np.where(blocks[start : start + _DRAW_ROWS, None] == blocks, p_in, p_out)
+        # pairs i < j only: column j > global row start + i
+        mask = np.triu(rng.random(prob.shape) < prob, k=start + 1)
+        parts.append(np.argwhere(mask) + (start, 0))
+    edges = np.concatenate(parts)
     features = centers[blocks] + spec.noise_sigma * rng.normal(size=(n, spec.feature_dim))
     return Graph(n, edges, features)
 

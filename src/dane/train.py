@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -109,13 +109,10 @@ def apply_update(
     grads: list[np.ndarray],
     state: AdamState | None,
     rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> list[np.ndarray]:
     """One optimizer step. ``state`` None means plain SGD; an
-    :class:`AdamState` is advanced in place. Inputs are never mutated;
-    fresh arrays come back."""
+    :class:`AdamState` is advanced in place, with Kingma & Ba's default
+    decay rates and guard. Inputs are never mutated; fresh arrays come back."""
     if len(arrays) != len(grads):
         raise ShapeMismatch("parameter and gradient counts differ")
     for a, g in zip(arrays, grads):
@@ -125,6 +122,7 @@ def apply_update(
         return [a - rate * g for a, g in zip(arrays, grads)]
     state.step += 1
     t = state.step
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     out = []
     for i, (a, g) in enumerate(zip(arrays, grads)):
         state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
@@ -149,17 +147,10 @@ class EpochRecord:
 
 
 class TrainLog:
-    """Per-epoch loss history with a fixed CSV schema."""
+    """Per-epoch loss history with a fixed CSV schema: the
+    :class:`EpochRecord` fields but ``seconds``, in declaration order."""
 
-    COLUMNS = (
-        "epoch",
-        "l_gcn",
-        "l_d",
-        "l_adv",
-        "l_total",
-        "mean_score_src",
-        "mean_score_tgt",
-    )
+    COLUMNS = tuple(f.name for f in fields(EpochRecord) if f.name != "seconds")
 
     def __init__(self):
         self.records: list[EpochRecord] = []
@@ -174,10 +165,7 @@ class TrainLog:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(self.COLUMNS) + "\n")
             for r in self.records:
-                fh.write(
-                    f"{r.epoch},{r.l_gcn!r},{r.l_d!r},{r.l_adv!r},{r.l_total!r},"
-                    f"{r.mean_score_src!r},{r.mean_score_tgt!r}\n"
-                )
+                fh.write(",".join(repr(getattr(r, c)) for c in self.COLUMNS) + "\n")
 
 
 class TrainState:
@@ -417,9 +405,3 @@ def encode_pair(enc: EncoderParams, pair: GraphPair) -> tuple[np.ndarray, np.nda
     v_src = model.encode(enc, build_propagation(pair.source), pair.source.features)
     v_tgt = model.encode(enc, build_propagation(pair.target), pair.target.features)
     return v_src.data, v_tgt.data
-
-
-def with_adv_weight(cfg: TrainConfig, weight: float) -> TrainConfig:
-    """Same run, different adversarial weight; seeds untouched so ablations
-    differ in exactly one knob."""
-    return replace(cfg, adv_weight=weight)

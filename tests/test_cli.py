@@ -106,9 +106,15 @@ def test_config_float_field_takes_an_int(tmp_path, capsys):
 
 def test_malformed_config_is_rejected(tmp_path, capsys):
     bad = tmp_path / "c.json"
-    bad.write_text("{not json")
-    assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
-    capsys.readouterr()
+    argv = ["generate", "--config", str(bad), "--out", str(tmp_path / "d")]
+    bad.write_text('{\n  "epochs": 3,\n  not json\n}\n')
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:3: config is not valid JSON" in err and "Traceback" not in err
+    bad.write_bytes(b'{"epochs": 3, "optimizer": "\xff"}\n')
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: config is not UTF-8 text" in err and "Traceback" not in err
 
 
 def test_non_object_config_is_rejected(tmp_path, capsys):
@@ -241,6 +247,35 @@ def test_train_flags_override_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, flag, key, in_config, on_flag",
+    [
+        ("train", "--seed", "seed", 1, 7),
+        ("train", "--lambda", "adv_weight", 1.0, 0.25),
+        ("train", "--epochs", "epochs", 3, 2),
+        ("train", "--disc-steps", "disc_steps", 1, 2),
+        ("train", "--dim", "embedding_dim", 6, 5),
+        ("train", "--neg-samples", "negative_samples", 2, 3),
+        ("generate", "--seed", "seed", 1, 7),
+        ("generate", "--divergence", "divergence", 0.0, 0.5),
+    ],
+)
+def test_flag_wins_over_its_config_key(tmp_path, capsys, command, flag, key, in_config, on_flag):
+    out = tmp_path / "out"
+    if command == "generate":
+        config = tiny_data_config(tmp_path, **{key: in_config})
+        assert main(["generate", "--config", config, flag, str(on_flag), "--out", str(out)]) == 0
+        stored = json.loads((out / "manifest.json").read_text())["spec"]
+    else:
+        data = generate_tiny(tmp_path)
+        config = tiny_train_config(tmp_path, **{key: in_config})
+        assert main(["train", "--config", config, flag, str(on_flag), "--data", str(data),
+                     "--out", str(out)]) == 0
+        stored = load_checkpoint(out / "checkpoint.json").extra["config"]
+    assert stored[key] == on_flag
+    capsys.readouterr()
+
+
 def test_train_is_deterministic_on_disk(tmp_path, capsys):
     data = generate_tiny(tmp_path)
     config = tiny_train_config(tmp_path)
@@ -280,6 +315,19 @@ def test_non_finite_feature_is_bad_input_not_divergence(tmp_path, capsys, value)
     assert not (out / "diverged.json").exists()
     err = capsys.readouterr().err
     assert "features_a.csv:1" in err and "Traceback" not in err
+
+
+def test_data_line_that_is_not_utf8_is_bad_input(tmp_path, capsys):
+    data = generate_tiny(tmp_path)
+    edges = data / "edges_a.tsv"
+    line = edges.read_bytes().count(b"\n") + 1
+    with open(edges, "ab") as fh:
+        fh.write(b"0\t\xff\n")
+    code = main(["train", "--config", tiny_train_config(tmp_path), "--data", str(data),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"edges_a.tsv:{line}: not UTF-8 text" in err and "Traceback" not in err
 
 
 # --- eval ------------------------------------------------------------------------
@@ -458,6 +506,23 @@ def test_eval_rejects_checkpoint_of_another_feature_width(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("classifier_epochs", -3, "epochs must be non-negative"),
+     ("classifier_lr", 0, "lr must be positive")],
+)
+def test_eval_rejects_out_of_range_classifier_option(tmp_path, capsys, key, value, message):
+    data, run = trained_tiny(tmp_path)
+    out = tmp_path / "evaluation"
+    config = write_config(tmp_path / "eval.json", **{key: value})
+    code = main(["eval", "--config", config, "--data", str(data),
+                 "--checkpoint", str(run / "checkpoint.json"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_eval_missing_checkpoint(tmp_path, capsys):
     data = generate_tiny(tmp_path)
     code = main(["eval", "--data", str(data), "--checkpoint",
@@ -498,6 +563,8 @@ def test_ablate_runs_both_arms_and_reports_deltas(tmp_path, capsys, monkeypatch)
     assert ck_adv.adv_weight == 1.0
     assert ck_base.adv_weight == 0.0
     assert ck_adv.seed == ck_base.seed == 4
+    # the arms differ in adv_weight alone
+    assert ck_base.extra["config"] == {**ck_adv.extra["config"], "adv_weight": 0.0}
     result = fit(
         load_tiny_pair(data), TrainConfig(seed=4, embedding_dim=6, epochs=2, negative_samples=2)
     )

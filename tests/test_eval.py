@@ -68,6 +68,11 @@ def test_align_label_sets_shares_union_vocabulary():
     assert a.classes == b.classes == ("x", "y", "z")
     assert a.assignments[0] == (0,)
     assert b.assignments[1] == (2,)
+    assert not a.multi_label
+    a, b = ev.align_label_sets({0: ("x",)}, {0: ("y", "x")})
+    assert a.multi_label and b.multi_label  # multi-label if either file is
+    with pytest.raises(ValueError, match="node 5 has an empty label set"):
+        ev.align_label_sets({0: ("x",)}, {0: ("y",), 5: ()})
 
 
 # --- F1 ---------------------------------------------------------------------------
@@ -203,10 +208,19 @@ def test_classifier_rejects_no_labels():
         ev.train_classifier(np.ones((4, 2)), labels)
 
 
-def test_classifier_minibatch_mode_runs():
-    x, labels = blob_embeddings(7, 15, [(2, 0), (-2, 0)])
-    clf = ev.train_classifier(x, labels, seed=8, batch_size=8)
-    assert (clf.predict(x) == [labels.assignments[i][0] for i in range(len(x))]).mean() > 0.9
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (dict(epochs=-3), "epochs must be non-negative"),
+        (dict(lr=0.0), "lr must be positive"),
+        (dict(lr=-0.1), "lr must be positive"),
+        (dict(l2=-1e-3), "l2 must be non-negative"),
+    ],
+)
+def test_classifier_rejects_out_of_range_options(option, message):
+    x, labels = blob_embeddings(7, 5, [(2, 0), (-2, 0)])
+    with pytest.raises(ValueError, match=message):
+        ev.train_classifier(x, labels, **option)
 
 
 def test_classifier_random_labels_score_at_chance():
@@ -296,6 +310,12 @@ def test_transfer_report_json_round_trip():
         gap=1.0 - 0.123456789123456789,
     )
     text = report.to_json()
+    assert text == (
+        '{\n  "direction": "B->A",\n  "gap": 0.8765432108765432,\n'
+        '  "l_src": 0.12345678912345678,\n  "l_tgt": 1.0,\n'
+        '  "macro_f1": 0.3333333333333333,\n  "micro_f1": 0.30000000000000004,\n'
+        '  "per_class_f1": {\n    "a": 0.5,\n    "b": 0.14285714285714285\n  }\n}'
+    )
     back = ev.TransferReport.from_json(text)
     assert back == report
     assert back.to_json() == text  # byte-stable re-serialization

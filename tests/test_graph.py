@@ -224,7 +224,9 @@ def test_graph_file_round_trip(tmp_path):
 def test_feature_header_is_optional(tmp_path):
     g = random_graph(6, 0.3, seed=6)
     write_edge_file(tmp_path / "e.tsv", g)
-    write_feature_file(tmp_path / "f.csv", g, header=True)
+    write_feature_file(tmp_path / "f.csv", g)
+    body = (tmp_path / "f.csv").read_text()
+    (tmp_path / "f.csv").write_text("node_id,f0,f1,f2\n" + body)
     back = load_graph(tmp_path / "e.tsv", tmp_path / "f.csv")
     assert back.features.tobytes() == g.features.tobytes()
 
@@ -248,6 +250,23 @@ def test_feature_non_integer_id_after_first_data_line_rejected(tmp_path, text, l
     (tmp_path / "f.csv").write_text(text)
     with pytest.raises(MalformedLine, match=rf"f\.csv:{line}: node id"):
         load_graph(tmp_path / "e.tsv", tmp_path / "f.csv")
+
+
+@pytest.mark.parametrize("kind", ["features", "edges", "labels"])
+def test_line_that_is_not_utf8_is_named(tmp_path, kind):
+    files = {
+        "f.csv": b"0,1.0\n1,2.0\n",
+        "e.tsv": b"0\t1\n",
+        "l.tsv": "0\tcaf\u00e9\n1\tb\n".encode(),  # UTF-8 beyond ASCII is fine
+    }
+    bad = {"features": "f.csv", "edges": "e.tsv", "labels": "l.tsv"}[kind]
+    line = files[bad].count(b"\n") + 2
+    files[bad] += b"# comment\n\xff\n"
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    with pytest.raises(MalformedLine, match=rf"{bad}:{line}: not UTF-8 text"):
+        load_graph(tmp_path / "e.tsv", tmp_path / "f.csv")
+        load_labels(tmp_path / "l.tsv")
 
 
 def test_label_file_round_trip(tmp_path):

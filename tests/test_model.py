@@ -213,8 +213,8 @@ def test_discriminator_forward_shape_and_zero_point():
 def test_discriminator_default_depth():
     d = model.DiscriminatorParams.init(8, seed=0)
     assert d.layer_dims == [8, 8, 8, 1]
-    shallow = model.DiscriminatorParams.init(8, hidden_dim=3, hidden_layers=1, seed=0)
-    assert shallow.layer_dims == [8, 3, 1]
+    shallow = model.DiscriminatorParams.init(8, hidden_layers=1, seed=0)
+    assert shallow.layer_dims == [8, 8, 1]
 
 
 def test_discriminator_loss_frozen_points():
@@ -236,7 +236,7 @@ def test_losses_reject_empty_scores():
 
 def test_discriminator_gradients():
     rng = np.random.default_rng(10)
-    d = model.DiscriminatorParams.init(3, hidden_dim=4, hidden_layers=2, seed=11)
+    d = model.DiscriminatorParams.init(3, hidden_layers=2, seed=11)
     v_src, v_tgt = rng.normal(size=(5, 3)), rng.normal(size=(6, 3))
 
     def build(nodes):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dane import synth
 from dane.errors import EmptyBlock
 from dane.eval import distribution_distance
 from dane.graph import Graph
@@ -93,6 +94,28 @@ def test_source_graph_unchanged_by_divergence_knob():
         plain.pair.source.features.tobytes() == shifted.pair.source.features.tobytes()
     )
     assert plain.pair.target.edges.tobytes() != shifted.pair.target.edges.tobytes()
+
+
+def whole_matrix_draw(rng, spec, centers, p_in, p_out):
+    """The edge draw as one n x n uniform matrix, then the features."""
+    blocks = np.repeat(np.arange(spec.num_blocks), spec.nodes_per_block)
+    n = spec.num_nodes
+    prob = np.where(blocks[:, None] == blocks[None, :], p_in, p_out)
+    edges = np.argwhere(np.triu(rng.random((n, n)) < prob, k=1))
+    features = centers[blocks] + spec.noise_sigma * rng.normal(size=(n, spec.feature_dim))
+    return edges, features
+
+
+@pytest.mark.parametrize("draw_rows", [7, synth._DRAW_ROWS])
+def test_block_edge_draw_equals_whole_matrix_draw(monkeypatch, draw_rows):
+    monkeypatch.setattr(synth, "_DRAW_ROWS", draw_rows)
+    spec = small_spec(nodes_per_block=100)
+    assert spec.num_nodes % draw_rows  # a last, shorter block
+    centers = np.random.default_rng(1).normal(size=(spec.num_blocks, spec.feature_dim))
+    g = synth._sample_graph(np.random.default_rng(2), spec, centers, 0.2, 0.03)
+    edges, features = whole_matrix_draw(np.random.default_rng(2), spec, centers, 0.2, 0.03)
+    assert g.edges.tobytes() == edges.tobytes()
+    assert g.features.tobytes() == features.tobytes()
 
 
 def test_edge_densities_match_block_structure():

@@ -18,7 +18,6 @@ from dane.train import (
     derive_seeds,
     encode_pair,
     fit,
-    with_adv_weight,
 )
 
 
@@ -72,13 +71,6 @@ def test_encoder_dims_layout():
     assert quick_config(embedding_dim=16, num_layers=3).encoder_dims(10) == [10, 16, 16, 16]
     assert quick_config(num_layers=1).encoder_dims(10) == [10, 8]
     assert quick_config().encoder_dims(10) == [10, 8, 8]
-
-
-def test_with_adv_weight_changes_only_that_knob():
-    a = quick_config(adv_weight=1.0)
-    b = with_adv_weight(a, 0.0)
-    assert b.adv_weight == 0.0
-    assert b.seed == a.seed and b.epochs == a.epochs
 
 
 def test_derive_seeds_deterministic_and_distinct():
@@ -360,6 +352,11 @@ def test_train_log_csv_schema_and_round_trip(tmp_path):
     log.append(EpochRecord(1, 1.25, 0.3, 0.7, 1.95, 0.2, 0.8, 0.015))
     path = tmp_path / "log.csv"
     log.to_csv(path)
+    assert path.read_text() == (
+        "epoch,l_gcn,l_d,l_adv,l_total,mean_score_src,mean_score_tgt\n"
+        "0,1.5,0.25,0.75,2.25,0.1,0.9\n"
+        "1,1.25,0.3,0.7,1.95,0.2,0.8\n"
+    )
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0].keys()) == list(TrainLog.COLUMNS)
