@@ -120,10 +120,17 @@ def _config_from(cls, args):
 
 def _classifier_options(args) -> dict:
     """The ``classifier_<name>`` keys the config sets, as ``name`` keyword
-    arguments; :func:`eval.train_classifier` holds the defaults."""
+    arguments, each checked against its range; :func:`eval.train_classifier`
+    holds the defaults."""
     config = _load_config(args.config) if args.config else {}
     prefix = "classifier_"
-    return {key[len(prefix):]: value for key, value in config.items() if key.startswith(prefix)}
+    options = {key[len(prefix):]: value for key, value in config.items() if key.startswith(prefix)}
+    for name, value in options.items():
+        try:
+            ev.check_classifier_option(name, value)
+        except ValueError as exc:
+            raise DaneError(f"{args.config}: config key '{prefix}{name}' is out of range: {exc}")
+    return options
 
 
 def _require_dir(path) -> None:

@@ -116,7 +116,7 @@ def backward(tape: GradTape, loss: Tensor2) -> dict[Tensor2, np.ndarray]:
     """Gradient of a 1x1 loss with respect to every registered parameter.
 
     Parameters the loss never touched map to zero arrays rather than being
-    skipped, so optimizer code can iterate uniformly.
+    skipped, so update code can iterate uniformly.
     """
     if not isinstance(loss, Tensor2) or id(loss) not in tape._produced:
         raise DisconnectedLoss("loss was not produced by an operation on this tape")
@@ -272,14 +272,6 @@ def negative_sampling_loss(anchors, v, candidates) -> Tensor2:
     return _make(out, [(anchors, lambda g: weighted(g) @ vd), (v, lambda g: weighted(g).T @ a)])
 
 
-def sum_all(a) -> Tensor2:
-    a = _as_tensor(a)
-    return _make(
-        np.array([[a.data.sum()]]),
-        [(a, lambda g, s=a.data.shape: np.full(s, g[0, 0]))],
-    )
-
-
 def mean_all(a) -> Tensor2:
     a = _as_tensor(a)
     n = a.data.size
@@ -288,44 +280,4 @@ def mean_all(a) -> Tensor2:
     return _make(
         np.array([[a.data.sum() / n]]),
         [(a, lambda g, s=a.data.shape: np.full(s, g[0, 0] / n))],
-    )
-
-
-def softmax_cross_entropy(logits, targets) -> Tensor2:
-    """Mean cross entropy between row-wise softmax of ``logits`` and one-hot
-    (or soft) ``targets``. Fused for stability: works off the log-sum-exp,
-    and the gradient is (softmax - targets) / n in one step."""
-    logits = _as_tensor(logits)
-    t = np.ascontiguousarray(targets, dtype=np.float64)
-    z = logits.data
-    if t.shape != z.shape:
-        raise ShapeMismatch(f"softmax_cross_entropy: {z.shape} vs {t.shape}")
-    if z.shape[0] == 0:
-        raise ShapeMismatch("softmax_cross_entropy: no rows")
-    zmax = z.max(axis=1, keepdims=True)
-    lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
-    n = z.shape[0]
-    loss = (lse - (z * t).sum(axis=1, keepdims=True)).sum() / n
-    softmax = np.exp(z - lse)
-    return _make(
-        np.array([[loss]]),
-        [(logits, lambda g: g[0, 0] * (softmax - t) / n)],
-    )
-
-
-def sigmoid_cross_entropy(logits, targets) -> Tensor2:
-    """Mean over all entries of the binary cross entropy between
-    sigmoid(logits) and 0/1 targets, fused from logits for stability."""
-    logits = _as_tensor(logits)
-    t = np.ascontiguousarray(targets, dtype=np.float64)
-    z = logits.data
-    if t.shape != z.shape:
-        raise ShapeMismatch(f"sigmoid_cross_entropy: {z.shape} vs {t.shape}")
-    if z.size == 0:
-        raise ShapeMismatch("sigmoid_cross_entropy: no entries")
-    # softplus(z) - z*t  ==  -t*log(s) - (1-t)*log(1-s)
-    loss = (_softplus(z) - z * t).sum() / z.size
-    return _make(
-        np.array([[loss]]),
-        [(logits, lambda g: g[0, 0] * (expit(z) - t) / z.size)],
     )

@@ -16,13 +16,14 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.special import expit
 
-from . import compute
-from .compute import GradTape, Tensor2, backward
+from .compute import _softplus
 from .errors import (
     EmptyInput,
     LabelVocabularyMismatch,
     NodeIdOutOfRange,
+    NonFiniteValue,
     ShapeMismatch,
     SingleClassDegenerate,
     TransferProtocolError,
@@ -117,23 +118,48 @@ def align_label_sets(
     )
 
 
-def _check_rows(node_ids: np.ndarray, embeddings: np.ndarray) -> None:
-    """Every labeled node must address a row of the embeddings. ``node_ids``
-    is the non-empty, sorted output of :meth:`LabelSet.node_ids`, so its
-    two ends bound the rest."""
+def _finite(values, what: str):
+    """``values`` unchanged when every entry is finite."""
+    if not np.isfinite(values).all():
+        raise NonFiniteValue(f"NaN or Inf in {what}")
+    return values
+
+
+def _labeled_rows(embeddings: np.ndarray, labels: LabelSet) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted ids of the labeled nodes and their embedding rows, which
+    must exist and be finite."""
+    node_ids = labels.node_ids()
+    if node_ids.size == 0:
+        raise EmptyInput("no labeled nodes")
     rows = embeddings.shape[0]
+    # the ids are sorted, so their two ends bound the rest
     for node in (int(node_ids[0]), int(node_ids[-1])):
         if not 0 <= node < rows:
             raise NodeIdOutOfRange(
                 f"label names node {node}, but the embeddings have {rows} rows"
             )
+    return node_ids, _finite(embeddings[node_ids], "labeled embedding rows")
 
 
-def _fingerprint(embeddings: np.ndarray, node_ids: np.ndarray) -> str:
+def _fingerprint(x: np.ndarray, node_ids: np.ndarray) -> str:
     h = hashlib.sha256()
-    h.update(embeddings[node_ids].tobytes())
+    h.update(x.tobytes())
     h.update(node_ids.tobytes())
     return h.hexdigest()
+
+
+def _cross_entropy(z: np.ndarray, y: np.ndarray, multi_label: bool):
+    """Mean log loss of logits ``z`` against 0/1 targets ``y``, and its
+    gradient in ``z``: softmax cross entropy averaged over rows or, for
+    multi-label data, each sigmoid head's binary cross entropy averaged
+    over all entries. Both work off the logits, so neither overflows."""
+    if multi_label:
+        # softplus(z) - z*y  ==  -y*log(s) - (1-y)*log(1-s)
+        return (_softplus(z) - z * y).sum() / z.size, (expit(z) - y) / z.size
+    zmax = z.max(axis=1, keepdims=True)
+    lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
+    n = z.shape[0]
+    return (lse - (z * y).sum(axis=1, keepdims=True)).sum() / n, (np.exp(z - lse) - y) / n
 
 
 @dataclass
@@ -162,15 +188,20 @@ class Classifier:
 
 def log_loss(clf: Classifier, embeddings: np.ndarray, labels: LabelSet) -> float:
     """Mean cross entropy of the classifier on the given labeled nodes."""
-    node_ids = labels.node_ids()
-    if node_ids.size == 0:
-        raise EmptyInput("no labeled nodes")
-    _check_rows(node_ids, embeddings)
-    z = Tensor2(clf.logits(embeddings[node_ids]))
-    y = labels.target_matrix(node_ids)
-    if clf.multi_label:
-        return compute.sigmoid_cross_entropy(z, y).item()
-    return compute.softmax_cross_entropy(z, y).item()
+    node_ids, x = _labeled_rows(embeddings, labels)
+    z = _finite(clf.logits(x), "classifier logits")
+    loss, _ = _cross_entropy(z, labels.target_matrix(node_ids), clf.multi_label)
+    return float(_finite(loss, "classifier log loss"))
+
+
+def check_classifier_option(name: str, value) -> None:
+    """Raise ``ValueError`` when the probe option ``name`` is out of range:
+    ``l2`` and ``epochs`` must be non-negative and ``lr`` positive."""
+    if name == "lr":
+        if not value > 0:
+            raise ValueError("lr must be positive")
+    elif not value >= 0:
+        raise ValueError(f"{name} must be non-negative")
 
 
 def train_classifier(
@@ -185,44 +216,32 @@ def train_classifier(
     full-batch gradient descent from zero weights, ``epochs`` steps at
     rate ``lr``: softmax regression for single-label data, an independent
     sigmoid head per class otherwise. The l2 penalty applies to the weight
-    matrix, never the bias. Needs ``l2 >= 0``, ``epochs >= 0``, ``lr > 0``."""
-    embeddings = embeddings.data if isinstance(embeddings, Tensor2) else np.asarray(embeddings, dtype=np.float64)
-    node_ids = labels.node_ids()
-    if node_ids.size == 0:
-        raise EmptyInput("no labeled nodes to fit on")
-    _check_rows(node_ids, embeddings)
+    matrix, never the bias. Options are checked by
+    :func:`check_classifier_option`. A non-finite labeled row, or a probe
+    whose logits overflow, raises :class:`NonFiniteValue`."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    node_ids, x = _labeled_rows(embeddings, labels)
     if labels.num_classes < 2:
         raise SingleClassDegenerate("need at least two classes")
     if not labels.multi_label:
         seen = {idx[0] for idx in labels.assignments.values()}
         if len(seen) < 2:
             raise SingleClassDegenerate("training labels collapse to one class")
-    if l2 < 0:
-        raise ValueError("l2 must be non-negative")
-    if epochs < 0:
-        raise ValueError("epochs must be non-negative")
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    x = embeddings[node_ids]
+    for name, value in (("l2", l2), ("epochs", epochs), ("lr", lr)):
+        check_classifier_option(name, value)
     y = labels.target_matrix(node_ids)
     d, c = x.shape[1], labels.num_classes
     weights, bias = np.zeros((d, c)), np.zeros((1, c))
-    data_loss = (
-        compute.sigmoid_cross_entropy if labels.multi_label else compute.softmax_cross_entropy
-    )
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         rows = rng.permutation(x.shape[0])  # each epoch sums the rows in a fresh order
-        tape = GradTape()
-        w_node, b_node = tape.parameter(weights), tape.parameter(bias)
-        z = compute.add_bias(compute.matmul(Tensor2(x[rows]), w_node), b_node)
-        loss = compute.add(
-            data_loss(z, y[rows]),
-            compute.scale(compute.sum_all(compute.square(w_node)), l2),
-        )
-        grads = backward(tape, loss)
-        weights = weights - lr * grads[w_node]
-        bias = bias - lr * grads[b_node]
+        x_rows = x[rows]
+        z = _finite(x_rows @ weights + bias, "classifier logits")
+        _, dz = _cross_entropy(z, y[rows], labels.multi_label)
+        # the gradient of mean log loss + l2 * sum(W^2), summed before lr
+        # scales it; another grouping rounds differently, and tests pin the bits
+        weights = weights - lr * (2.0 * weights * l2 + x_rows.T @ dz)
+        bias = bias - lr * dz.sum(axis=0, keepdims=True)
 
     clf = Classifier(
         weights=weights,
@@ -231,7 +250,7 @@ def train_classifier(
         multi_label=labels.multi_label,
         l2=l2,
         source_loss=0.0,
-        train_fingerprint=_fingerprint(embeddings, node_ids),
+        train_fingerprint=_fingerprint(x, node_ids),
     )
     clf.source_loss = log_loss(clf, embeddings, labels)
     return clf
@@ -305,17 +324,14 @@ def evaluate_transfer(
             f"classifier knows {clf.classes}, target labels use {labels_tgt.classes}"
         )
     embeddings_tgt = np.asarray(embeddings_tgt, dtype=np.float64)
-    node_ids = labels_tgt.node_ids()
-    if node_ids.size == 0:
-        raise EmptyInput("target graph has no labeled nodes")
-    _check_rows(node_ids, embeddings_tgt)
-    if _fingerprint(embeddings_tgt, node_ids) == clf.train_fingerprint:
+    node_ids, x = _labeled_rows(embeddings_tgt, labels_tgt)
+    if _fingerprint(x, node_ids) == clf.train_fingerprint:
         raise TransferProtocolError(
             "these are the embeddings the classifier was fit on; "
             "evaluate on the other graph"
         )
     true = labels_tgt.target_matrix(node_ids).astype(bool)
-    predicted = _prediction_indicator(clf, embeddings_tgt[node_ids])
+    predicted = _prediction_indicator(clf, x)
     micro, macro, per_class = f1_scores(true, predicted, labels_tgt.num_classes)
     l_tgt = log_loss(clf, embeddings_tgt, labels_tgt)
     return TransferReport(

@@ -42,7 +42,6 @@ class TrainConfig:
     epochs: int = 200
     encoder_lr: float = 1e-3
     disc_lr: float = 1e-3
-    optimizer: str = "adam"
     edge_batch_size: int | None = None  # None: all edges every step
     disc_hidden_layers: int = 2
 
@@ -59,8 +58,6 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
         if self.encoder_lr <= 0 or self.disc_lr <= 0:
             raise ValueError("learning rates must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.edge_batch_size is not None and self.edge_batch_size < 1:
             raise ValueError("edge_batch_size must be positive when set")
         if self.disc_hidden_layers < 0:
@@ -107,19 +104,17 @@ class AdamState:
 def apply_update(
     arrays: list[np.ndarray],
     grads: list[np.ndarray],
-    state: AdamState | None,
+    state: AdamState,
     rate: float,
 ) -> list[np.ndarray]:
-    """One optimizer step. ``state`` None means plain SGD; an
-    :class:`AdamState` is advanced in place, with Kingma & Ba's default
-    decay rates and guard. Inputs are never mutated; fresh arrays come back."""
+    """One Adam step, with Kingma & Ba's default decay rates and guard.
+    ``state`` is advanced in place; the inputs are never mutated, and fresh
+    arrays come back."""
     if len(arrays) != len(grads):
         raise ShapeMismatch("parameter and gradient counts differ")
     for a, g in zip(arrays, grads):
         if a.shape != g.shape:
             raise ShapeMismatch(f"update: parameter {a.shape} vs gradient {g.shape}")
-    if state is None:
-        return [a - rate * g for a, g in zip(arrays, grads)]
     state.step += 1
     t = state.step
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -174,7 +169,6 @@ class TrainState:
     def __init__(
         self,
         pair: GraphPair,
-        cfg: TrainConfig,
         seeds: RunSeeds,
         enc: EncoderParams,
         disc: DiscriminatorParams,
@@ -184,9 +178,8 @@ class TrainState:
         self.sampler_src = NegativeSampler(pair.source.degrees, seeds.sampler_src)
         self.sampler_tgt = NegativeSampler(pair.target.degrees, seeds.sampler_tgt)
         self.batch_rng = np.random.default_rng(seeds.batching)
-        adam = cfg.optimizer == "adam"
-        self.enc_state = AdamState(enc.arrays()) if adam else None
-        self.disc_state = AdamState(disc.arrays()) if adam else None
+        self.enc_state = AdamState(enc.arrays())
+        self.disc_state = AdamState(disc.arrays())
 
 
 def init_models(
@@ -340,7 +333,7 @@ def fit(
     """
     seeds = derive_seeds(cfg.seed)
     enc, disc = init_models(pair, cfg, seeds)
-    state = TrainState(pair, cfg, seeds, enc, disc)
+    state = TrainState(pair, seeds, enc, disc)
     snap_src, snap_tgt = (
         model.sample_edge_batch(
             g.edges, NegativeSampler(g.degrees, seed), cfg.negative_samples

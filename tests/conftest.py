@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from dane import compute
 from dane.compute import GradTape, backward
 
 
@@ -27,6 +28,14 @@ def numeric_grad(f, arrays, eps=1e-6):
             gflat[i] = (hi - lo) / (2.0 * eps)
         grads.append(g)
     return grads
+
+
+def total(a):
+    """Sum of every entry of a tensor, as two tape matmuls with vectors of
+    ones, so the gradient is exactly one per entry; an empty tensor sums
+    to zero."""
+    rows, cols = a.data.shape
+    return compute.matmul(compute.matmul(np.ones((1, rows)), a), np.ones((cols, 1)))
 
 
 def tape_grads(build, arrays):

@@ -84,7 +84,6 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
         ("edge_batch_size", 2.0),
         ("adv_weight", "1"),
         ("p_in", False),
-        ("optimizer", 1),
         ("classifier_epochs", 1.5),
     ],
 )
@@ -95,6 +94,18 @@ def test_config_value_of_wrong_type_is_rejected(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert "c.json" in err and repr(key) in err
     assert "Traceback" not in err
+
+
+def test_optimizer_key_is_unknown(tmp_path, capsys):
+    # Adam is the only update rule, so there is nothing to choose
+    config = tiny_train_config(tmp_path, optimizer="adam")
+    data = generate_tiny(tmp_path)
+    out = tmp_path / "run"
+    code = main(["train", "--config", config, "--data", str(data), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys: optimizer" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_config_float_field_takes_an_int(tmp_path, capsys):
@@ -291,9 +302,8 @@ def test_train_is_deterministic_on_disk(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_training_exits_3_and_dumps(tmp_path, capsys):
     data = generate_tiny(tmp_path)
-    config = tiny_train_config(
-        tmp_path, optimizer="sgd", encoder_lr=1e14, disc_lr=1e14, epochs=40
-    )
+    # Adam steps by about lr whatever the gradient; at 1e50 this pair stays finite
+    config = tiny_train_config(tmp_path, encoder_lr=1e100, disc_lr=1e100, epochs=40)
     out = tmp_path / "run"
     code = main(["train", "--config", config, "--data", str(data), "--out", str(out)])
     assert code == 3
@@ -520,6 +530,20 @@ def test_eval_rejects_out_of_range_classifier_option(tmp_path, capsys, key, valu
     assert code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert config in err and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_rejects_a_probe_that_overflows(tmp_path, capsys):
+    data, run = trained_tiny(tmp_path)
+    out = tmp_path / "evaluation"
+    config = write_config(tmp_path / "eval.json", classifier_lr=1e300)
+    code = main(["eval", "--config", config, "--data", str(data),
+                 "--checkpoint", str(run / "checkpoint.json"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "NaN or Inf" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -572,6 +596,17 @@ def test_ablate_runs_both_arms_and_reports_deltas(tmp_path, capsys, monkeypatch)
         result.embeddings_src, result.embeddings_tgt
     )
     capsys.readouterr()
+
+
+def test_ablate_checks_classifier_options_before_training(tmp_path, capsys):
+    data = generate_tiny(tmp_path)
+    out = tmp_path / "ablation"
+    config = tiny_train_config(tmp_path, classifier_epochs=-3)
+    code = main(["ablate", "--config", config, "--data", str(data), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert config in err and "'classifier_epochs'" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_ablate_rejects_zero_lambda(tmp_path, capsys):

@@ -12,7 +12,7 @@ from dane.errors import (
 )
 from dane.graph import Graph, build_propagation
 
-from conftest import check_gradients, tape_grads
+from conftest import check_gradients, tape_grads, total
 
 
 # --- tensor construction -----------------------------------------------------
@@ -97,23 +97,6 @@ def test_relu_forward():
     np.testing.assert_array_equal(out.data, [[0.0, 0.0, 2.5]])
 
 
-def test_softmax_cross_entropy_uniform_logits():
-    logits = Tensor2(np.zeros((1, 3)))
-    onehot = np.array([[1.0, 0.0, 0.0]])
-    loss = compute.softmax_cross_entropy(logits, onehot)
-    assert loss.item() == pytest.approx(np.log(3.0), rel=1e-15)
-
-
-def test_sigmoid_cross_entropy_matches_naive():
-    rng = np.random.default_rng(0)
-    z = rng.normal(size=(4, 3))
-    t = (rng.random((4, 3)) < 0.5).astype(float)
-    s = 1.0 / (1.0 + np.exp(-z))
-    naive = -(t * np.log(s) + (1 - t) * np.log(1 - s)).mean()
-    got = compute.sigmoid_cross_entropy(Tensor2(z), t).item()
-    assert got == pytest.approx(naive, rel=1e-12)
-
-
 # --- shape validation --------------------------------------------------------
 
 
@@ -174,22 +157,22 @@ def test_matmul_gradients():
     rng = np.random.default_rng(1)
     a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
     check_gradients(
-        lambda n: compute.sum_all(compute.matmul(n[0], n[1])), [a, b]
+        lambda n: total(compute.matmul(n[0], n[1])), [a, b]
     )
 
 
 def test_elementwise_gradients():
     rng = np.random.default_rng(2)
     a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-    check_gradients(lambda n: compute.sum_all(compute.add(n[0], n[1])), [a, b])
-    check_gradients(lambda n: compute.sum_all(compute.square(n[0])), [a])
+    check_gradients(lambda n: total(compute.add(n[0], n[1])), [a, b])
+    check_gradients(lambda n: total(compute.square(n[0])), [a])
 
 
 def test_scalar_ops_gradients():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(2, 5))
-    check_gradients(lambda n: compute.sum_all(compute.scale(n[0], -2.5)), [a])
-    check_gradients(lambda n: compute.sum_all(compute.add_scalar(n[0], 3.0)), [a])
+    check_gradients(lambda n: total(compute.scale(n[0], -2.5)), [a])
+    check_gradients(lambda n: total(compute.add_scalar(n[0], 3.0)), [a])
 
 
 def test_activation_gradients():
@@ -197,12 +180,12 @@ def test_activation_gradients():
     # keep values away from the relu kink so finite differences are clean
     a = rng.normal(size=(4, 3))
     a[np.abs(a) < 0.05] = 0.1
-    check_gradients(lambda n: compute.sum_all(compute.relu(n[0])), [a])
+    check_gradients(lambda n: total(compute.relu(n[0])), [a])
 
 
 def test_relu_subgradient_at_zero_is_zero():
     _, grads = tape_grads(
-        lambda n: compute.sum_all(compute.relu(n[0])), [np.zeros((1, 3))]
+        lambda n: total(compute.relu(n[0])), [np.zeros((1, 3))]
     )
     np.testing.assert_array_equal(grads[0], np.zeros((1, 3)))
 
@@ -211,7 +194,7 @@ def test_add_bias_gradients():
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
     check_gradients(
-        lambda n: compute.sum_all(compute.square(compute.add_bias(n[0], n[1]))),
+        lambda n: total(compute.square(compute.add_bias(n[0], n[1]))),
         [a, b],
     )
 
@@ -221,7 +204,7 @@ def test_gather_rows_gradients_with_repeats():
     a = rng.normal(size=(5, 3))
     idx = [0, 2, 2, 4, 0, 0]
     check_gradients(
-        lambda n: compute.sum_all(compute.square(compute.gather_rows(n[0], idx))),
+        lambda n: total(compute.square(compute.gather_rows(n[0], idx))),
         [a],
     )
 
@@ -233,7 +216,7 @@ def test_gather_rows_gradient_equals_add_at_bitwise(idx):
     rng = np.random.default_rng(11)
     a = np.exp(8.0 * rng.normal(size=(5, 3)))
     _, (got,) = tape_grads(
-        lambda n: compute.sum_all(compute.square(compute.gather_rows(n[0], idx))), [a]
+        lambda n: total(compute.square(compute.gather_rows(n[0], idx))), [a]
     )
     idx = np.asarray(idx, dtype=np.int64)
     want = np.zeros_like(a)
@@ -319,31 +302,13 @@ def test_negative_sampling_loss_untaped_skips_the_gradient(monkeypatch):
     assert out.item() == pytest.approx(2 * 0.6931471805599453, rel=1e-15)
 
 
-def test_cross_entropy_gradients():
-    rng = np.random.default_rng(7)
-    z = rng.normal(size=(6, 4))
-    onehot = np.eye(4)[rng.integers(0, 4, size=6)]
-    multihot = (rng.random((6, 4)) < 0.4).astype(float)
-    check_gradients(lambda n: compute.softmax_cross_entropy(n[0], onehot), [z])
-    check_gradients(lambda n: compute.sigmoid_cross_entropy(n[0], multihot), [z])
-
-
-def test_softmax_cross_entropy_gradient_closed_form():
-    z = np.zeros((1, 3))
-    onehot = np.array([[0.0, 1.0, 0.0]])
-    _, grads = tape_grads(
-        lambda n: compute.softmax_cross_entropy(n[0], onehot), [z]
-    )
-    np.testing.assert_allclose(grads[0], np.array([[1, -2, 1]]) / 3.0, atol=1e-15)
-
-
 def test_spmm_gradients():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], np.zeros((4, 2)))
     p = build_propagation(g)
     rng = np.random.default_rng(8)
     h = rng.normal(size=(4, 3))
     check_gradients(
-        lambda n: compute.sum_all(compute.square(compute.spmm(p, n[0]))), [h]
+        lambda n: total(compute.square(compute.spmm(p, n[0]))), [h]
     )
 
 
@@ -375,7 +340,7 @@ def test_shared_parameter_accumulates_across_branches():
     a = Tensor2(np.array([[1.0, 2.0], [3.0, 4.0]]))
     b = Tensor2(np.array([[5.0, 6.0], [7.0, 8.0]]))
     loss = compute.add(
-        compute.sum_all(compute.matmul(a, w)), compute.sum_all(compute.matmul(b, w))
+        total(compute.matmul(a, w)), total(compute.matmul(b, w))
     )
     grads = backward(tape, loss)
     want = a.data.T @ np.ones((2, 2)) + b.data.T @ np.ones((2, 2))
@@ -385,7 +350,7 @@ def test_shared_parameter_accumulates_across_branches():
 def test_same_node_twice_in_one_op():
     tape = GradTape()
     x = tape.parameter(np.array([[3.0, -2.0], [0.5, 4.0]]))
-    loss = compute.sum_all(compute.matmul(x, x))
+    loss = total(compute.matmul(x, x))
     grads = backward(tape, loss)
     ones = np.ones((2, 2))
     np.testing.assert_array_equal(grads[x], ones @ x.data.T + x.data.T @ ones)
@@ -396,7 +361,7 @@ def test_fanout_diamond():
     tape = GradTape()
     x = tape.parameter(np.array([[2.0]]))
     y = compute.add(compute.square(x), compute.scale(x, 3.0))  # x^2 + 3x
-    grads = backward(tape, compute.sum_all(y))
+    grads = backward(tape, total(y))
     assert grads[x][0, 0] == 2.0 * 2.0 + 3.0
 
 
@@ -404,7 +369,7 @@ def test_unused_parameter_gets_zero_gradient():
     tape = GradTape()
     used = tape.parameter(np.ones((1, 2)))
     unused = tape.parameter(np.ones((3, 3)))
-    grads = backward(tape, compute.sum_all(used))
+    grads = backward(tape, total(used))
     np.testing.assert_array_equal(grads[unused], np.zeros((3, 3)))
     assert grads[unused].shape == unused.data.shape
 
@@ -414,7 +379,7 @@ def test_disconnected_loss_rejected():
     tape.parameter(np.ones((1, 1)))
     other = GradTape()
     w = other.parameter(np.ones((1, 1)))
-    foreign = compute.sum_all(w)
+    foreign = total(w)
     with pytest.raises(DisconnectedLoss):
         backward(tape, foreign)
     with pytest.raises(DisconnectedLoss):
@@ -441,7 +406,7 @@ def test_constants_are_not_recorded():
     tape = GradTape()
     w = tape.parameter(np.ones((2, 2)))
     c = Tensor2(np.ones((2, 2)))
-    loss = compute.sum_all(compute.matmul(w, c))
+    loss = total(compute.matmul(w, c))
     before = len(tape._records)
     grads = backward(tape, loss)
     np.testing.assert_array_equal(grads[w], np.full((2, 2), 2.0))

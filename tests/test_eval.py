@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,13 @@ from dane.errors import (
     EmptyInput,
     LabelVocabularyMismatch,
     NodeIdOutOfRange,
+    NonFiniteValue,
     ShapeMismatch,
     SingleClassDegenerate,
     TransferProtocolError,
 )
+
+from conftest import numeric_grad
 
 
 def blob_embeddings(seed, n_per_class, centers, spread=0.4):
@@ -223,6 +228,21 @@ def test_classifier_rejects_out_of_range_options(option, message):
         ev.train_classifier(x, labels, **option)
 
 
+@pytest.mark.parametrize("epochs", [200, 0])
+def test_classifier_rejects_a_non_finite_labeled_row(epochs):
+    x, labels = blob_embeddings(7, 5, [(2, 0), (-2, 0)])
+    x[3, 1] = np.nan
+    with pytest.raises(NonFiniteValue):
+        ev.train_classifier(x, labels, epochs=epochs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_classifier_rejects_a_probe_that_overflows():
+    x, labels = blob_embeddings(7, 5, [(2, 0), (-2, 0)])
+    with pytest.raises(NonFiniteValue):
+        ev.train_classifier(x, labels, lr=1e300)
+
+
 def test_classifier_random_labels_score_at_chance():
     # labels drawn independently of the embeddings: held-out macro F1 must
     # hover at 1/num_classes, averaged over reshuffles
@@ -244,6 +264,112 @@ def test_classifier_random_labels_score_at_chance():
         _, macro, _ = ev.f1_scores(one_hot[assign[test_ids]], one_hot[pred_idx], 3)
         scores.append(macro)
     assert abs(float(np.mean(scores)) - 1.0 / 3.0) <= 0.1
+
+
+# --- the probe's loss and its gradient ----------------------------------------------
+
+
+def probe_data(multi_label):
+    """A fixed source and target pair of embeddings with labels: three
+    overlapping blobs, or points labeled by the signs of two coordinates."""
+    if not multi_label:
+        centers = [(1.5, 0.0, 0.5), (-1.5, 0.5, 0.0), (0.0, -1.5, 1.0)]
+        return (*blob_embeddings(31, 12, centers, spread=1.0),
+                *blob_embeddings(32, 12, centers, spread=1.2))
+    rng = np.random.default_rng(33)
+    clouds, mappings = [], []
+    for n in (40, 35):
+        x = rng.normal(size=(n, 3)) * 2.0
+        clouds.append(x)
+        mappings.append({
+            i: tuple(name for name, on in (("right", row[0] > 0), ("up", row[1] > 0)) if on)
+            or ("neither",)
+            for i, row in enumerate(x)
+        })
+    labels_src, labels_tgt = ev.align_label_sets(*mappings)
+    return clouds[0], labels_src, clouds[1], labels_tgt
+
+
+def probe(weights, bias, labels):
+    return ev.Classifier(
+        weights=weights, bias=bias, classes=labels.classes, multi_label=labels.multi_label,
+        l2=0.0, source_loss=0.0, train_fingerprint="",
+    )
+
+
+def test_probe_loss_at_uniform_logits_is_log_classes():
+    labels = ev.LabelSet(("a", "b", "c"), {0: (0,)}, multi_label=False)
+    clf = probe(np.zeros((2, 3)), np.zeros((1, 3)), labels)
+    assert ev.log_loss(clf, np.array([[0.3, -1.0]]), labels) == pytest.approx(
+        np.log(3.0), rel=1e-15
+    )
+
+
+def test_probe_multi_label_loss_matches_naive():
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(4, 3))
+    t = (rng.random((4, 3)) < 0.5).astype(float)
+    t[:, 0] = 1.0  # every node needs a label
+    labels = ev.LabelSet(
+        ("a", "b", "c"), {i: tuple(np.flatnonzero(row)) for i, row in enumerate(t)}, True
+    )
+    s = 1.0 / (1.0 + np.exp(-z))
+    naive = -(t * np.log(s) + (1 - t) * np.log(1 - s)).mean()
+    # identity weights make the embeddings the logits
+    got = ev.log_loss(probe(np.eye(3), np.zeros((1, 3)), labels), z, labels)
+    assert got == pytest.approx(naive, rel=1e-12)
+
+
+def test_probe_loss_gradient_closed_form():
+    # (softmax - y) / n for one row of zero logits
+    _, dz = ev._cross_entropy(np.zeros((1, 3)), np.array([[0.0, 1.0, 0.0]]), False)
+    np.testing.assert_allclose(dz, np.array([[1, -2, 1]]) / 3.0, atol=1e-15)
+    # (sigmoid - y) / (n C), sigmoid(0) = 1/2
+    _, dz = ev._cross_entropy(np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 0.0]]), True)
+    np.testing.assert_array_equal(dz, np.array([[-0.125, 0.125], [0.125, 0.125]]))
+
+
+@pytest.mark.parametrize("multi_label", [False, True], ids=["single-label", "multi-label"])
+def test_probe_loss_gradient_matches_central_differences(multi_label):
+    # each step of the probe, from zero weights and then from the first
+    # step's, moves by -lr times the numeric gradient of the l2-penalised
+    # mean log loss
+    x, labels, _, _ = probe_data(multi_label)
+    l2, lr = 0.05, 0.5
+
+    def penalised(arrays):
+        w, b = arrays
+        return ev.log_loss(probe(w, b, labels), x, labels) + l2 * (w * w).sum()
+
+    w, b = np.zeros((x.shape[1], labels.num_classes)), np.zeros((1, labels.num_classes))
+    for epochs in (1, 2):
+        grad_w, grad_b = numeric_grad(penalised, [w.copy(), b.copy()])
+        clf = ev.train_classifier(x, labels, l2=l2, seed=0, epochs=epochs, lr=lr)
+        np.testing.assert_allclose(clf.weights, w - lr * grad_w, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(clf.bias, b - lr * grad_b, rtol=1e-6, atol=1e-9)
+        w, b = clf.weights, clf.bias
+
+
+@pytest.mark.parametrize(
+    "multi_label, weights_sha256, report_sha256",
+    [
+        (False, "2022b0dab232e8c08935bb1f3c027810a2ad84ebb4cdae654760295f9caa7707",
+         "78936e44fd449efd545dc5f0f7c019c14dd0ea1171ebce9d504e142e5a17896d"),
+        (True, "04c832053d27cf1f6e0163e06b1bdff6cfac0fac727a27c0dbbd9582951f1d13",
+         "c930999b1cf94652d8fe85f9128ab8877ace0bf8f7a27d96ed6a71155e206f58"),
+    ],
+    ids=["single-label", "multi-label"],
+)
+def test_probe_output_is_pinned(multi_label, weights_sha256, report_sha256):
+    # recorded when the probe was differentiated on the autodiff tape: a
+    # change in the order of its arithmetic changes these bytes
+    x_src, labels_src, x_tgt, labels_tgt = probe_data(multi_label)
+    assert labels_src.multi_label == multi_label
+    clf = ev.train_classifier(x_src, labels_src, l2=1e-2, seed=34, epochs=150, lr=0.3)
+    report = ev.evaluate_transfer(clf, x_tgt, labels_tgt, direction="A->B")
+    got = hashlib.sha256(clf.weights.tobytes() + clf.bias.tobytes()).hexdigest()
+    assert got == weights_sha256
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == report_sha256
 
 
 # --- transfer evaluation ----------------------------------------------------------
@@ -282,6 +408,15 @@ def test_transfer_rejects_vocabulary_mismatch():
     other = ev.LabelSet.from_mapping({0: ("dog",), 1: ("cat",)})
     with pytest.raises(LabelVocabularyMismatch):
         ev.evaluate_transfer(clf, x + 1.0, other)
+
+
+def test_transfer_rejects_a_non_finite_target_row():
+    x, labels = blob_embeddings(14, 20, [(2, 0), (-2, 0)])
+    clf = ev.train_classifier(x, labels, seed=15)
+    target = x + 1.0
+    target[5, 0] = np.inf
+    with pytest.raises(NonFiniteValue):
+        ev.evaluate_transfer(clf, target, labels)
 
 
 def test_labels_beyond_the_embeddings_are_rejected():

@@ -8,7 +8,7 @@ from dane.compute import GradTape, Tensor2, backward
 from dane.errors import DaneError, EmptyInput, IndexOutOfRange, ShapeMismatch
 from dane.graph import Graph, NegativeSampler, build_propagation
 
-from conftest import check_gradients
+from conftest import check_gradients, total
 
 
 def tiny_graph(seed=0, n=6, feature_dim=3):
@@ -72,12 +72,12 @@ def test_encode_with_tape_shares_weights_across_graphs():
     def grad_of(graphs):
         tape = GradTape()
         nodes = enc.as_nodes(tape)
-        total = None
+        loss = None
         for g, p in graphs:
             v = model.encode(nodes, p, g.features)
-            term = compute.sum_all(compute.square(v))
-            total = term if total is None else compute.add(total, term)
-        return backward(tape, total)[nodes[0]]
+            term = total(compute.square(v))
+            loss = term if loss is None else compute.add(loss, term)
+        return backward(tape, loss)[nodes[0]]
 
     both = grad_of([(g_a, p_a), (g_b, p_b)])
     separate = grad_of([(g_a, p_a)]) + grad_of([(g_b, p_b)])
