@@ -82,8 +82,11 @@ def _configure_logging() -> None:
 
 
 def _load_config(path) -> dict:
-    """Strict JSON config: every key must be one this tool understands, so
-    a typo fails loudly instead of silently running the defaults."""
+    """Strict JSON config ({} without a file): every key must be one this
+    tool understands, so a typo fails loudly instead of silently running
+    the defaults."""
+    if not path:
+        return {}
     doc = load_json(path, "config")
     if not isinstance(doc, dict):
         raise DaneError(f"{path}: config must be a JSON object")
@@ -95,6 +98,8 @@ def _load_config(path) -> dict:
         if not any(_fits(value, kind) for kind in kinds):
             names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
             raise DaneError(f"{path}: config key {key!r} must be {names}, got {value!r}")
+        if isinstance(value, float) and not np.isfinite(value):
+            raise DaneError(f"{path}: config key {key!r} must be finite, got {value!r}")
     return doc
 
 
@@ -108,28 +113,26 @@ def _fits(value, kind: type) -> bool:
     return isinstance(value, kind)
 
 
-def _config_from(cls, args):
-    """A ``cls`` (TrainConfig or SynthSpec) from the config file's values
-    and the flags set, flags winning; a flag's argparse dest is the config
-    key it overrides. The run seed is 0 when neither sets it."""
-    config = _load_config(args.config) if args.config else {}
+def _config_from(cls, config: dict, args):
+    """A ``cls`` (TrainConfig or SynthSpec) from the loaded ``config`` and
+    the flags set, flags winning; a flag's argparse dest is the config key
+    it overrides. The run seed is 0 when neither sets it."""
     flags = {key: value for key, value in vars(args).items() if value is not None}
     values = {"seed": 0, **config, **flags}
     return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
 
 
-def _classifier_options(args) -> dict:
-    """The ``classifier_<name>`` keys the config sets, as ``name`` keyword
-    arguments, each checked against its range; :func:`eval.train_classifier`
-    holds the defaults."""
-    config = _load_config(args.config) if args.config else {}
+def _classifier_options(config: dict, path) -> dict:
+    """The ``classifier_<name>`` keys the loaded ``config`` (from file
+    ``path``) sets, as ``name`` keyword arguments, each checked against its
+    range; :func:`eval.train_classifier` holds the defaults."""
     prefix = "classifier_"
     options = {key[len(prefix):]: value for key, value in config.items() if key.startswith(prefix)}
     for name, value in options.items():
         try:
             ev.check_classifier_option(name, value)
         except ValueError as exc:
-            raise DaneError(f"{args.config}: config key '{prefix}{name}' is out of range: {exc}")
+            raise DaneError(f"{path}: config key '{prefix}{name}' is out of range: {exc}")
     return options
 
 
@@ -171,7 +174,7 @@ def _write_embeddings(path, v: np.ndarray) -> None:
 
 
 def cmd_generate(args) -> int:
-    spec = _config_from(SynthSpec, args)
+    spec = _config_from(SynthSpec, _load_config(args.config), args)
     result = generate_pair(spec)
     os.makedirs(args.out, exist_ok=True)
     for tag, graph, labels in (
@@ -224,7 +227,7 @@ def _run_training(pair, cfg, out_dir):
 def cmd_train(args) -> int:
     _require_dir(args.data)
     pair = _load_pair(args.data)
-    cfg = _config_from(TrainConfig, args)
+    cfg = _config_from(TrainConfig, _load_config(args.config), args)
     result = _run_training(pair, cfg, args.out)
     last = result.log.records[-1] if result.log.records else None
     if last is not None:
@@ -289,7 +292,7 @@ def cmd_eval(args) -> int:
             f"{args.checkpoint}: encoder takes {width} feature columns, but the "
             f"graphs in {args.data} have {pair.source.feature_dim}"
         )
-    options = _classifier_options(args)
+    options = _classifier_options(_load_config(args.config), args.config)
     v_a, v_b = encode_pair(checkpoint.encoder, pair)
     report_ab, report_ba, mmd2 = _evaluate(
         v_a, v_b, labels_a, labels_b, checkpoint.seed, options
@@ -311,10 +314,11 @@ def cmd_ablate(args) -> int:
     _require_dir(args.data)
     pair = _load_pair(args.data)
     labels_a, labels_b = _load_pair_labels(args.data, pair)
-    cfg = _config_from(TrainConfig, args)
+    config = _load_config(args.config)
+    cfg = _config_from(TrainConfig, config, args)
     if cfg.adv_weight == 0.0:
         raise DaneError("ablate needs a non-zero adv_weight to compare against")
-    options = _classifier_options(args)
+    options = _classifier_options(config, args.config)
     summary = {"adv_weight": cfg.adv_weight, "seed": cfg.seed}
     results = {}
     for name, run_cfg in (

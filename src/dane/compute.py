@@ -18,6 +18,7 @@ from scipy.special import expit
 
 from .errors import (
     DisconnectedLoss,
+    EmptyInput,
     IndexOutOfRange,
     NonFiniteValue,
     ShapeMismatch,
@@ -164,32 +165,24 @@ def add(a, b) -> Tensor2:
     return _make(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
 
 
-def add_bias(a, b) -> Tensor2:
-    """Add a (1, d) row vector to every row of a (n, d) tensor."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if b.rows != 1 or b.cols != a.cols:
-        raise ShapeMismatch(f"add_bias: {a.shape} + {b.shape}")
+def affine(h, w, b) -> Tensor2:
+    """``h @ w + b``, with ``b`` a (1, d) row added to every row: one
+    discriminator layer. A NaN or Inf in ``h @ w`` reaches the checked output."""
+    h, w, b = _as_tensor(h), _as_tensor(w), _as_tensor(b)
+    if h.cols != w.rows or b.shape != (1, w.cols):
+        raise ShapeMismatch(f"affine: ({h.rows}, {h.cols}) @ {w.shape} + {b.shape}")
+    hd, wd = h.data, w.data
     return _make(
-        a.data + b.data,
-        [(a, lambda g: g), (b, lambda g: g.sum(axis=0, keepdims=True))],
+        hd @ wd + b.data,
+        [(h, lambda g: g @ wd.T), (w, lambda g: hd.T @ g),
+         (b, lambda g: g.sum(axis=0, keepdims=True))],
     )
-
-
-def add_scalar(a, c: float) -> Tensor2:
-    a = _as_tensor(a)
-    return _make(a.data + float(c), [(a, lambda g: g)])
 
 
 def scale(a, c: float) -> Tensor2:
     a = _as_tensor(a)
     c = float(c)
     return _make(a.data * c, [(a, lambda g: g * c)])
-
-
-def square(a) -> Tensor2:
-    a = _as_tensor(a)
-    ad = a.data
-    return _make(ad * ad, [(a, lambda g: 2.0 * ad * g)])
 
 
 def relu(a) -> Tensor2:
@@ -272,12 +265,15 @@ def negative_sampling_loss(anchors, v, candidates) -> Tensor2:
     return _make(out, [(anchors, lambda g: weighted(g) @ vd), (v, lambda g: weighted(g).T @ a)])
 
 
-def mean_all(a) -> Tensor2:
-    a = _as_tensor(a)
-    n = a.data.size
-    if n == 0:
-        raise ShapeMismatch("mean of an empty tensor")
-    return _make(
-        np.array([[a.data.sum() / n]]),
-        [(a, lambda g, s=a.data.shape: np.full(s, g[0, 0] / n))],
-    )
+def least_squares(a, b, target_a: float, target_b: float) -> Tensor2:
+    """mean((a - target_a)^2) + mean((b - target_b)^2) over all entries:
+    the least-squares loss of scores from two graphs against one target
+    each. Deviations are ``d = a + (-target_a)``; the pulls are ``(2 d)(g / n)``.
+    A NaN or Inf in a deviation or a square reaches the checked output."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.size == 0 or b.data.size == 0:
+        raise EmptyInput(f"least squares needs scores from both graphs, got {a.shape}, {b.shape}")
+    da, db = a.data + float(-target_a), b.data + float(-target_b)
+    out = np.array([[(da * da).sum() / da.size]]) + np.array([[(db * db).sum() / db.size]])
+    return _make(out, [(a, lambda g: 2.0 * da * (g[0, 0] / da.size)),
+                       (b, lambda g: 2.0 * db * (g[0, 0] / db.size))])

@@ -194,10 +194,20 @@ class NegativeSampler:
 
 def load_json(path, what: str):
     """The JSON document in a UTF-8 file, or a :class:`DaneError` naming the
-    file (and the line, for invalid JSON); ``what`` says what it holds."""
+    file (and the line, for invalid JSON); ``what`` says what it holds. An
+    object that repeats a key is an error, not a silent last-one-wins."""
+
+    def unique(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise DaneError(f"{path}: {what} repeats the key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise DaneError(f"{path}:{exc.lineno}: {what} is not valid JSON: {exc.msg}") from None
     except UnicodeDecodeError:

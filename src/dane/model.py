@@ -19,7 +19,7 @@ import numpy as np
 
 from . import compute
 from .compute import GradTape, Tensor2
-from .errors import DaneError, EmptyInput, ShapeMismatch
+from .errors import DaneError, ShapeMismatch
 from .graph import NegativeSampler, PropagationMatrix, load_json
 
 
@@ -224,33 +224,21 @@ def discriminator_forward(params, v) -> Tensor2:
     h = v if isinstance(v, Tensor2) else Tensor2(v)
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        h = compute.add_bias(compute.matmul(h, w), b)
+        h = compute.affine(h, w, b)
         if i < last:
             h = compute.relu(h)
     return h
 
 
-def _mean_square_to(scores: Tensor2, target: float) -> Tensor2:
-    return compute.mean_all(compute.square(compute.add_scalar(scores, -target)))
-
-
 def discriminator_loss(scores_src: Tensor2, scores_tgt: Tensor2) -> Tensor2:
     """Least squares toward the true domain labels: source 0, target 1."""
-    if scores_src.rows == 0 or scores_tgt.rows == 0:
-        raise EmptyInput("discriminator loss needs scores from both graphs")
-    return compute.add(
-        _mean_square_to(scores_src, 0.0), _mean_square_to(scores_tgt, 1.0)
-    )
+    return compute.least_squares(scores_src, scores_tgt, 0.0, 1.0)
 
 
 def adversarial_loss(scores_src: Tensor2, scores_tgt: Tensor2) -> Tensor2:
     """Least squares toward the flipped labels, rewarding embeddings the
     discriminator mistakes for the other graph."""
-    if scores_src.rows == 0 or scores_tgt.rows == 0:
-        raise EmptyInput("adversarial loss needs scores from both graphs")
-    return compute.add(
-        _mean_square_to(scores_src, 1.0), _mean_square_to(scores_tgt, 0.0)
-    )
+    return compute.least_squares(scores_src, scores_tgt, 1.0, 0.0)
 
 
 def total_loss(l_gcn: Tensor2, l_adv: Tensor2, weight: float) -> Tensor2:

@@ -42,8 +42,9 @@ class SynthSpec:
             raise ValueError("need 0 <= p_out < p_in <= 1")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be positive")
-        if self.noise_sigma < 0 or self.divergence < 0 or self.center_scale <= 0:
-            raise ValueError("noise_sigma, divergence >= 0 and center_scale > 0")
+        if not (0 <= self.noise_sigma < np.inf and 0 <= self.divergence < np.inf
+                and 0 < self.center_scale < np.inf):
+            raise ValueError("noise_sigma, divergence >= 0 and center_scale > 0 must be finite")
 
     @property
     def num_nodes(self) -> int:

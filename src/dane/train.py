@@ -50,14 +50,14 @@ class TrainConfig:
             raise ValueError("embedding_dim and num_layers must be positive")
         if self.negative_samples < 1:
             raise ValueError("negative_samples must be at least 1")
-        if self.adv_weight < 0:
-            raise ValueError("adv_weight must be non-negative")
+        if not 0 <= self.adv_weight < math.inf:
+            raise ValueError("adv_weight must be finite and non-negative")
         if self.disc_steps < 1:
             raise ValueError("disc_steps must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.encoder_lr <= 0 or self.disc_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.encoder_lr < math.inf and 0 < self.disc_lr < math.inf):
+            raise ValueError("learning rates encoder_lr and disc_lr must be finite and positive")
         if self.edge_batch_size is not None and self.edge_batch_size < 1:
             raise ValueError("edge_batch_size must be positive when set")
         if self.disc_hidden_layers < 0:

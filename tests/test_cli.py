@@ -108,6 +108,66 @@ def test_optimizer_key_is_unknown(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("train", "encoder_lr", math.nan),
+        ("train", "adv_weight", math.inf),
+        ("train", "disc_lr", -math.inf),
+        ("generate", "divergence", math.nan),
+        ("generate", "noise_sigma", math.nan),
+        ("generate", "center_scale", math.inf),
+    ],
+)
+def test_non_finite_config_value_is_bad_input_not_divergence(
+    tmp_path, capsys, command, key, value
+):
+    # JSON NaN and Infinity slip past a range check written as x < 0
+    out = tmp_path / "out"
+    if command == "train":
+        data = generate_tiny(tmp_path)
+        config = tiny_train_config(tmp_path, **{key: value})
+        argv = ["train", "--config", config, "--data", str(data), "--out", str(out)]
+    else:
+        config = tiny_data_config(tmp_path, **{key: value})
+        argv = ["generate", "--config", config, "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{config}: config key {key!r} must be finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, key",
+    [("train", "--lambda", "nan", "adv_weight"), ("generate", "--divergence", "inf", "divergence")],
+)
+def test_non_finite_flag_is_bad_input(tmp_path, capsys, command, flag, value, key):
+    out = tmp_path / "out"
+    argv = [command, flag, value, "--out", str(out)]
+    if command == "train":
+        argv += ["--data", str(generate_tiny(tmp_path)), "--config", tiny_train_config(tmp_path)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_with_a_repeated_key_is_rejected(tmp_path, capsys):
+    # the last value used to win silently: this would train 4 epochs
+    data = generate_tiny(tmp_path)
+    config = tmp_path / "train.json"
+    config.write_text('{"embedding_dim": 6, "epochs": 3, "epochs": 4}')
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(config), "--data", str(data), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{config}: config repeats the key 'epochs'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_float_field_takes_an_int(tmp_path, capsys):
     # and an int-or-null field takes null
     config = tiny_data_config(tmp_path, noise_sigma=1, edge_batch_size=None)
@@ -458,6 +518,14 @@ def test_eval_names_the_checkpoint_it_cannot_parse(tmp_path, capsys, binary):
     assert bad.value.lineno > 1
     err = _eval_error(tmp_path, capsys, data, path)
     assert f"{path}:{bad.value.lineno}: checkpoint is not valid JSON" in err
+
+
+def test_eval_rejects_a_checkpoint_with_a_repeated_key(tmp_path, capsys):
+    data, run = trained_tiny(tmp_path)
+    path = run / "checkpoint.json"
+    path.write_text('{"adv_weight": 0.0, ' + path.read_text()[1:])
+    err = _eval_error(tmp_path, capsys, data, path)
+    assert f"{path}: checkpoint repeats the key 'adv_weight'" in err
 
 
 def _pop(key, index):

@@ -12,7 +12,7 @@ from dane.errors import (
 )
 from dane.graph import Graph, build_propagation
 
-from conftest import check_gradients, tape_grads, total
+from conftest import check_gradients, sum_squares, tape_grads, total
 
 
 # --- tensor construction -----------------------------------------------------
@@ -53,7 +53,7 @@ def test_item_requires_scalar():
 def test_overflow_inside_op_is_caught():
     big = Tensor2(np.full((1, 1), 1e200))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
-        compute.square(big)
+        compute.matmul(big, big)
 
 
 # --- frozen forward values ---------------------------------------------------
@@ -137,9 +137,9 @@ def test_negative_sampling_loss_candidates_out_of_range(bad):
         )
 
 
-def test_add_bias_requires_row_vector():
+def test_affine_requires_row_vector_bias():
     with pytest.raises(ShapeMismatch):
-        compute.add_bias(Tensor2(np.zeros((2, 3))), Tensor2(np.zeros((2, 3))))
+        compute.affine(np.zeros((2, 3)), np.eye(3), np.zeros((2, 3)))
 
 
 def test_gather_rows_out_of_range():
@@ -165,14 +165,15 @@ def test_elementwise_gradients():
     rng = np.random.default_rng(2)
     a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
     check_gradients(lambda n: total(compute.add(n[0], n[1])), [a, b])
-    check_gradients(lambda n: total(compute.square(n[0])), [a])
+    check_gradients(lambda n: sum_squares(n[0]), [a])
 
 
 def test_scalar_ops_gradients():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(2, 5))
     check_gradients(lambda n: total(compute.scale(n[0], -2.5)), [a])
-    check_gradients(lambda n: total(compute.add_scalar(n[0], 3.0)), [a])
+    # a scalar target shifts the least-squares deviations
+    check_gradients(lambda n: compute.least_squares(n[0], n[0], 3.0, -1.5), [a])
 
 
 def test_activation_gradients():
@@ -190,13 +191,68 @@ def test_relu_subgradient_at_zero_is_zero():
     np.testing.assert_array_equal(grads[0], np.zeros((1, 3)))
 
 
-def test_add_bias_gradients():
+def test_affine_gradients():
     rng = np.random.default_rng(5)
-    a, b = rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
+    h, w, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=(1, 2))
+    check_gradients(lambda n: sum_squares(compute.affine(n[0], n[1], n[2])), [h, w, b])
+
+
+@pytest.mark.parametrize("targets", [(0.0, 1.0), (1.0, 0.0), (0.25, -3.0)])
+def test_least_squares_gradients(targets):
+    rng = np.random.default_rng(15)
+    a, b = rng.normal(size=(4, 1)), rng.normal(size=(3, 2))
+    # scaled, so each pull must apply its upstream gradient
     check_gradients(
-        lambda n: total(compute.square(compute.add_bias(n[0], n[1]))),
-        [a, b],
+        lambda n: compute.scale(compute.least_squares(n[0], n[1], *targets), -2.5), [a, b]
     )
+
+
+def _spread(rng, shape):
+    # values of very different magnitudes make a changed summation order show
+    return rng.normal(size=shape) * np.exp(4.0 * rng.normal(size=shape))
+
+
+def test_affine_equals_matmul_then_bias_bitwise():
+    # the forward h @ w, then + b; the pulls of a matmul and of a row bias
+    rng = np.random.default_rng(16)
+    h, w, b = _spread(rng, (9, 5)), _spread(rng, (5, 4)), _spread(rng, (1, 4))
+    tape = GradTape()
+    nodes = [tape.parameter(x) for x in (h, w, b)]
+    out = compute.affine(*nodes)
+    grads = backward(tape, sum_squares(out))
+    want = h @ w + b
+    g = 2.0 * want * np.ones_like(want)
+    assert out.data.tobytes() == want.tobytes()
+    for node, expected in zip(nodes, (g @ w.T, h.T @ g, g.sum(axis=0, keepdims=True))):
+        assert grads[node].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("targets", [(0.0, 1.0), (1.0, 0.0)])
+def test_least_squares_equals_shift_square_mean_add_bitwise(targets):
+    # per input: d = s + (-t), d * d, its sum / n; then the two means added.
+    # Upstream c reaches each input as 2.0 * d * (an array of c / n).
+    rng = np.random.default_rng(17)
+    a, b = _spread(rng, (301, 1)), _spread(rng, (157, 1))
+    c = -2.5
+    tape = GradTape()
+    na, nb = tape.parameter(a), tape.parameter(b)
+    out = compute.least_squares(na, nb, *targets)
+    grads = backward(tape, compute.scale(out, c))
+    means, want = [], []
+    for x, t in zip((a, b), targets):
+        d = x + float(-t)
+        sq = d * d
+        means.append(np.array([[sq.sum() / sq.size]]))
+        want.append(2.0 * d * np.full(x.shape, c / x.size))
+    assert out.data.tobytes() == (means[0] + means[1]).tobytes()
+    assert grads[na].tobytes() == want[0].tobytes()
+    assert grads[nb].tobytes() == want[1].tobytes()
+
+
+def test_least_squares_overflow_is_caught():
+    # a finite score whose square overflows makes the output non-finite
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
+        compute.least_squares(Tensor2([[1e200]]), Tensor2([[0.0]]), 0.0, 1.0)
 
 
 def test_gather_rows_gradients_with_repeats():
@@ -204,7 +260,7 @@ def test_gather_rows_gradients_with_repeats():
     a = rng.normal(size=(5, 3))
     idx = [0, 2, 2, 4, 0, 0]
     check_gradients(
-        lambda n: total(compute.square(compute.gather_rows(n[0], idx))),
+        lambda n: sum_squares(compute.gather_rows(n[0], idx)),
         [a],
     )
 
@@ -216,7 +272,7 @@ def test_gather_rows_gradient_equals_add_at_bitwise(idx):
     rng = np.random.default_rng(11)
     a = np.exp(8.0 * rng.normal(size=(5, 3)))
     _, (got,) = tape_grads(
-        lambda n: total(compute.square(compute.gather_rows(n[0], idx))), [a]
+        lambda n: sum_squares(compute.gather_rows(n[0], idx)), [a]
     )
     idx = np.asarray(idx, dtype=np.int64)
     want = np.zeros_like(a)
@@ -308,7 +364,7 @@ def test_spmm_gradients():
     rng = np.random.default_rng(8)
     h = rng.normal(size=(4, 3))
     check_gradients(
-        lambda n: total(compute.square(compute.spmm(p, n[0]))), [h]
+        lambda n: sum_squares(compute.spmm(p, n[0])), [h]
     )
 
 
@@ -360,7 +416,7 @@ def test_fanout_diamond():
     # x feeds two paths that later merge; upstream gradients must sum
     tape = GradTape()
     x = tape.parameter(np.array([[2.0]]))
-    y = compute.add(compute.square(x), compute.scale(x, 3.0))  # x^2 + 3x
+    y = compute.add(compute.matmul(x, x), compute.scale(x, 3.0))  # x^2 + 3x
     grads = backward(tape, total(y))
     assert grads[x][0, 0] == 2.0 * 2.0 + 3.0
 
@@ -389,7 +445,7 @@ def test_disconnected_loss_rejected():
 def test_backward_requires_scalar_loss():
     tape = GradTape()
     w = tape.parameter(np.ones((2, 2)))
-    out = compute.square(w)
+    out = compute.relu(w)
     with pytest.raises(ShapeMismatch):
         backward(tape, out)
 
@@ -419,8 +475,8 @@ def test_backward_is_deterministic():
         tape = GradTape()
         w = tape.parameter(rng.normal(size=(4, 4)))
         x = Tensor2(rng.normal(size=(6, 4)))
-        loss = compute.mean_all(
-            compute.square(compute.relu(compute.matmul(x, w)))
+        loss = compute.least_squares(
+            compute.relu(compute.matmul(x, w)), np.zeros((1, 1)), 0.0, 0.0
         )
         return backward(tape, loss)[w]
 

@@ -4,6 +4,7 @@ import scipy.stats
 
 from dane.errors import (
     AllNodesIsolated,
+    DaneError,
     FeatureRowMissing,
     InconsistentFeatureWidth,
     MalformedLine,
@@ -15,6 +16,7 @@ from dane.graph import (
     NegativeSampler,
     build_propagation,
     load_graph,
+    load_json,
     load_labels,
     write_edge_file,
     write_feature_file,
@@ -361,3 +363,15 @@ def test_label_beyond_node_count_rejected_with_line(tmp_path):
     assert load_labels(tmp_path / "l.tsv") == {0: ("a",), 3: ("b",)}
     with pytest.raises(NodeIdOutOfRange, match=r"l\.tsv:2: label for node 3"):
         load_labels(tmp_path / "l.tsv", num_nodes=3)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [('{"epochs": 3, "epochs": 4}', "epochs"), ('{"a": {"b": 1, "b": 1}, "c": 2}', "b")],
+    ids=["top-level", "nested"],
+)
+def test_json_with_a_repeated_key_is_rejected(tmp_path, text, key):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(DaneError, match=f"doc.json: config repeats the key '{key}'"):
+        load_json(path, "config")

@@ -8,7 +8,7 @@ from dane.compute import GradTape, Tensor2, backward
 from dane.errors import DaneError, EmptyInput, IndexOutOfRange, ShapeMismatch
 from dane.graph import Graph, NegativeSampler, build_propagation
 
-from conftest import check_gradients, total
+from conftest import check_gradients, sum_squares
 
 
 def tiny_graph(seed=0, n=6, feature_dim=3):
@@ -75,7 +75,7 @@ def test_encode_with_tape_shares_weights_across_graphs():
         loss = None
         for g, p in graphs:
             v = model.encode(nodes, p, g.features)
-            term = total(compute.square(v))
+            term = sum_squares(v)
             loss = term if loss is None else compute.add(loss, term)
         return backward(tape, loss)[nodes[0]]
 
@@ -256,7 +256,7 @@ def test_adversarial_gradients_flow_to_encoder():
     def build(nodes):
         v = model.encode(nodes, p, g.features)
         scores = model.discriminator_forward(disc, v)
-        return model.adversarial_loss(scores, compute.add_scalar(scores, 0.1))
+        return model.adversarial_loss(scores, compute.add(scores, np.full(scores.shape, 0.1)))
 
     check_gradients(build, enc.arrays(), atol=1e-6)
 
@@ -322,6 +322,18 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     doc["format_version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(DaneError, match="ckpt.json: unsupported checkpoint format_version 99"):
+        model.load_checkpoint(path)
+
+
+def test_checkpoint_with_a_repeated_key_is_rejected(tmp_path):
+    enc = model.EncoderParams.init([2, 2], seed=0)
+    disc = model.DiscriminatorParams.init(2, seed=0)
+    path = tmp_path / "ckpt.json"
+    model.save_checkpoint(path, enc, disc, adv_weight=1.0, seed=0)
+    text = path.read_text()
+    assert text.startswith("{")
+    path.write_text('{"seed": 5, ' + text[1:])
+    with pytest.raises(DaneError, match="ckpt.json: checkpoint repeats the key 'seed'"):
         model.load_checkpoint(path)
 
 

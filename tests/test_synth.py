@@ -48,6 +48,13 @@ def test_spec_rejects_degenerate_shapes():
         small_spec(divergence=-1.0)
 
 
+@pytest.mark.parametrize("key", ["noise_sigma", "divergence", "center_scale"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_spec_rejects_a_non_finite_float(key, value):
+    with pytest.raises(ValueError, match=key):
+        small_spec(**{key: value})
+
+
 # --- generation --------------------------------------------------------------
 
 

@@ -65,6 +65,13 @@ def test_config_validation():
         quick_config(encoder_lr=0.0)
 
 
+@pytest.mark.parametrize("key", ["adv_weight", "encoder_lr", "disc_lr"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_a_non_finite_float(key, value):
+    with pytest.raises(ValueError, match=key):
+        quick_config(**{key: value})
+
+
 def test_encoder_dims_layout():
     assert quick_config(embedding_dim=16, num_layers=3).encoder_dims(10) == [10, 16, 16, 16]
     assert quick_config(num_layers=1).encoder_dims(10) == [10, 8]
@@ -159,6 +166,31 @@ def test_encoder_round_treats_discriminator_as_constant():
     train.encoder_round(pair, enc, disc, cfg, state, b_src, b_tgt)
     assert [a.tobytes() for a in disc.arrays()] == disc_bytes
     assert any(w.tobytes() != b.tobytes() for w, b in zip(enc.weights, enc_before))
+
+
+def test_each_layer_and_each_least_squares_loss_is_one_tape_op(monkeypatch):
+    # Discriminator round: per graph affine, relu, affine, then one loss: 7.
+    # Encoder round: per graph matmul, relu, spmm, matmul (the first spmm
+    # reads constant features and is not recorded), a gather and a score
+    # for the edge loss, affine, relu, affine; then the structural add, the
+    # adversarial loss, and the weighting's scale and add: 22.
+    tapes = []
+
+    class CountedTape(train.GradTape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(train, "GradTape", CountedTape)
+    pair = small_pair()
+    cfg = quick_config(num_layers=2, disc_hidden_layers=1)
+    state, enc, disc = make_state(pair, cfg)
+    v_src, v_tgt = train.encode_pair(enc, pair)
+    train.discriminator_round(v_src, v_tgt, disc, cfg, state)
+    b_src = model.sample_edge_batch(pair.source.edges, state.sampler_src, 2)
+    b_tgt = model.sample_edge_batch(pair.target.edges, state.sampler_tgt, 2)
+    train.encoder_round(pair, enc, disc, cfg, state, b_src, b_tgt)
+    assert [len(t._records) for t in tapes] == [7, 22]
 
 
 # --- one epoch ------------------------------------------------------------------
@@ -269,6 +301,20 @@ def test_fit_epoch_hook_sees_every_epoch():
 
     fit(pair, quick_config(epochs=3), epoch_hook=hook)
     assert seen == [0, 1, 2]
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_fit_hands_out_read_only_embeddings(epochs):
+    seen = []
+    result = fit(
+        small_pair(), quick_config(epochs=epochs),
+        epoch_hook=lambda epoch, record, enc, v_src, v_tgt: seen.extend((v_src, v_tgt)),
+    )
+    assert len(seen) == 2 * epochs
+    for v in [result.embeddings_src, result.embeddings_tgt, *seen]:
+        assert v.flags.writeable is False
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.0
 
 
 def test_fit_minibatch_mode_runs_deterministically():
