@@ -20,13 +20,14 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import sys
 import typing
 
 import numpy as np
 
 from . import __version__, eval as ev
-from .errors import DaneError, NonFiniteLoss
+from .errors import DaneError, EmptyBlock, NonFiniteLoss, NonFiniteValue
 from .graph import (
     GraphPair,
     load_graph,
@@ -116,10 +117,24 @@ def _fits(value, kind: type) -> bool:
 def _config_from(cls, config: dict, args):
     """A ``cls`` (TrainConfig or SynthSpec) from the loaded ``config`` and
     the flags set, flags winning; a flag's argparse dest is the config key
-    it overrides. The run seed is 0 when neither sets it."""
+    it overrides. The run seed is 0 when neither sets it. A value out of
+    range is named by its config key and file, or by its flag."""
     flags = {key: value for key, value in vars(args).items() if value is not None}
     values = {"seed": 0, **config, **flags}
-    return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
+    fields = [f.name for f in dataclasses.fields(cls)]
+    try:
+        return cls(**{name: values[name] for name in fields if name in values})
+    except (ValueError, EmptyBlock) as exc:
+        # each range rule's message names the fields it reads
+        words = set(re.findall(r"\w+", str(exc)))
+        named = [name for name in fields if name in words]
+        from_file = [repr(name) for name in named if name in config and name not in flags]
+        sources = [f"flag {args.flag_names[name]}" for name in named if name in flags]
+        verb = "is" if len(from_file) + len(sources) == 1 else "are"
+        if from_file:
+            keys = "keys" if len(from_file) > 1 else "key"
+            sources.insert(0, f"{args.config}: config {keys} {', '.join(from_file)}")
+        raise DaneError(f"{' and '.join(sources)} {verb} out of range: {exc}") from exc
 
 
 def _classifier_options(config: dict, path) -> dict:
@@ -206,10 +221,14 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _run_training(pair, cfg, out_dir):
-    """fit + write checkpoint, embeddings, and log; returns the result."""
+def _fit(pair, cfg, out_dir):
+    """fit, dumping the last finite model to ``out_dir`` if it diverges."""
     os.makedirs(out_dir, exist_ok=True)
-    result = fit(pair, cfg, diagnostics_path=os.path.join(out_dir, "diverged.json"))
+    return fit(pair, cfg, diagnostics_path=os.path.join(out_dir, "diverged.json"))
+
+
+def _write_training(out_dir, cfg, result) -> None:
+    """The checkpoint, embeddings and log of a finished fit."""
     save_checkpoint(
         os.path.join(out_dir, "checkpoint.json"),
         result.encoder,
@@ -221,14 +240,14 @@ def _run_training(pair, cfg, out_dir):
     _write_embeddings(os.path.join(out_dir, "embeddings_a.csv"), result.embeddings_src)
     _write_embeddings(os.path.join(out_dir, "embeddings_b.csv"), result.embeddings_tgt)
     result.log.to_csv(os.path.join(out_dir, "train_log.csv"))
-    return result
 
 
 def cmd_train(args) -> int:
     _require_dir(args.data)
     pair = _load_pair(args.data)
     cfg = _config_from(TrainConfig, _load_config(args.config), args)
-    result = _run_training(pair, cfg, args.out)
+    result = _fit(pair, cfg, args.out)
+    _write_training(args.out, cfg, result)
     last = result.log.records[-1] if result.log.records else None
     if last is not None:
         print(
@@ -239,14 +258,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _evaluate(v_a, v_b, labels_a, labels_b, seed, classifier_options):
+def _evaluate(v_a, v_b, labels_a, labels_b, seed, classifier_options, config_path):
     """Both transfer directions plus the distribution distance of two
-    embedding arrays, with the classifier stream of run seed ``seed``."""
+    embedding arrays, with the classifier stream of run seed ``seed``. A
+    probe that meets NaN or Inf names the config file ``config_path`` and
+    the ``classifier_*`` keys it set, if any."""
     clf_seed = derive_seeds(seed).classifier
-    clf_a = ev.train_classifier(v_a, labels_a, seed=clf_seed, **classifier_options)
-    report_ab = ev.evaluate_transfer(clf_a, v_b, labels_b, direction="A->B")
-    clf_b = ev.train_classifier(v_b, labels_b, seed=clf_seed, **classifier_options)
-    report_ba = ev.evaluate_transfer(clf_b, v_a, labels_a, direction="B->A")
+    try:
+        clf_a = ev.train_classifier(v_a, labels_a, seed=clf_seed, **classifier_options)
+        report_ab = ev.evaluate_transfer(clf_a, v_b, labels_b, direction="A->B")
+        clf_b = ev.train_classifier(v_b, labels_b, seed=clf_seed, **classifier_options)
+        report_ba = ev.evaluate_transfer(clf_b, v_a, labels_a, direction="B->A")
+    except NonFiniteValue as exc:
+        if not classifier_options:
+            raise
+        keys = ", ".join(f"'classifier_{name}'" for name in classifier_options)
+        raise DaneError(f"{config_path}: probe failed with config keys {keys}: {exc}") from exc
     return report_ab, report_ba, ev.distribution_distance(v_a, v_b)
 
 
@@ -295,7 +322,7 @@ def cmd_eval(args) -> int:
     options = _classifier_options(_load_config(args.config), args.config)
     v_a, v_b = encode_pair(checkpoint.encoder, pair)
     report_ab, report_ba, mmd2 = _evaluate(
-        v_a, v_b, labels_a, labels_b, checkpoint.seed, options
+        v_a, v_b, labels_a, labels_b, checkpoint.seed, options, args.config
     )
     os.makedirs(args.out, exist_ok=True)
     _write_reports(args.out, report_ab, report_ba)
@@ -320,17 +347,22 @@ def cmd_ablate(args) -> int:
         raise DaneError("ablate needs a non-zero adv_weight to compare against")
     options = _classifier_options(config, args.config)
     summary = {"adv_weight": cfg.adv_weight, "seed": cfg.seed}
-    results = {}
+    # both arms are trained and evaluated before either is written, so a
+    # probe that fails on the second arm leaves no first arm behind
+    arms = {}
     for name, run_cfg in (
         ("adversarial", cfg),
         ("baseline", dataclasses.replace(cfg, adv_weight=0.0)),
     ):
         out_dir = os.path.join(args.out, name)
-        result = _run_training(pair, run_cfg, out_dir)
-        report_ab, report_ba, mmd2 = _evaluate(
+        result = _fit(pair, run_cfg, out_dir)
+        arms[name] = out_dir, run_cfg, result, _evaluate(
             result.embeddings_src, result.embeddings_tgt, labels_a, labels_b,
-            run_cfg.seed, options,
+            run_cfg.seed, options, args.config,
         )
+    results = {}
+    for name, (out_dir, run_cfg, result, (report_ab, report_ba, mmd2)) in arms.items():
+        _write_training(out_dir, run_cfg, result)
         _write_reports(out_dir, report_ab, report_ba)
         results[name] = {
             "micro_f1": report_ab.micro_f1,
@@ -376,6 +408,11 @@ def _add_train_flags(sub) -> None:
                      help="negatives per edge")
 
 
+def _flag_names(sub) -> dict:
+    """argparse dest -> the flag that sets it, for each flag of ``sub``."""
+    return {action.dest: action.option_strings[0] for action in sub._actions if action.option_strings}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dane",
@@ -389,14 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--divergence", type=float, default=None,
                    help="domain shift strength for the second graph")
     p.add_argument("--out", required=True, help="data directory to create")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, flag_names=_flag_names(p))
 
     p = sub.add_parser("train", help="fit the embedder on a graph pair")
     _add_common_flags(p)
     _add_train_flags(p)
     p.add_argument("--data", required=True, help="data directory from generate")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, flag_names=_flag_names(p))
 
     p = sub.add_parser("eval", help="transfer-evaluate a trained checkpoint")
     _add_common_flags(p)
@@ -410,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.add_argument("--data", required=True, help="data directory from generate")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_ablate, flag_names=_flag_names(p))
 
     return parser
 

@@ -10,6 +10,7 @@ cannot be quietly lost somewhere in a pipeline.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import warnings
@@ -345,11 +346,106 @@ def evaluate_transfer(
     )
 
 
+# Cells of the pooled squared-distance matrix that distribution_distance
+# forms at a time: 2^20 float64, 8 MiB, like synth._DRAW_ROWS bounds the edge
+# draw. A call whose strict upper triangle has at most _KEPT_CELLS cells
+# (64 MiB) keeps its blocks between passes instead of forming them again.
+_BLOCK_CELLS = 1 << 20
+_KEPT_CELLS = 1 << 23
+_LAST_BITS = (1 << 63) - 1  # the largest int64: every positive double lies under it
+
+
+def _upper_sq_distances(pooled: np.ndarray, na: int):
+    """Squared distances sq_i + sq_j - 2 x_i.x_j, clipped at 0, over the
+    strict upper triangle j > i of the pooled rows, as (region, cells)
+    pieces: region 0 holds pairs within the first ``na`` rows, 1 pairs
+    across the two clouds, 2 pairs within the rest. Rows are taken in blocks
+    of at most _BLOCK_CELLS cells that never straddle the two clouds."""
+    n = pooled.shape[0]
+    sq = (pooled * pooled).sum(axis=1)
+    for start, stop, own in ((0, na, 0), (na, n, 2)):
+        r0 = start
+        while r0 < stop:
+            r1 = min(stop, r0 + max(1, _BLOCK_CELLS // (n - r0)))
+            rows = r1 - r0
+            gram = pooled[r0:r1] @ pooled[r0:].T
+            gram *= 2.0
+            d2 = sq[r0:r1, None] + sq[None, r0:]
+            d2 -= gram
+            del gram
+            np.maximum(d2, 0.0, out=d2)
+            yield own, d2[:, :rows][~np.tri(rows, dtype=bool)]
+            yield own, d2[:, rows : stop - r0]
+            if own == 0:
+                yield 1, d2[:, stop - r0 :]
+            r0 = r1
+
+
+def _positive_bits(blocks, first: int, last: int):
+    """Per piece of ``blocks()``, the int64 bit patterns of its positive
+    cells that lie in [first, last]."""
+    for _, cells in blocks():
+        bits = cells[cells > 0].view(np.int64)
+        yield bits if first == 0 and last == _LAST_BITS else bits[(bits >= first) & (bits <= last)]
+
+
+def _median_of_positive(blocks) -> float:
+    """``np.median`` of the positive cells of the pieces ``blocks()`` yields,
+    or 1.0 when none is, without holding the cells.
+
+    Positive doubles sort as their int64 bit patterns. A pass counts the
+    patterns in 2^16 bins of their leading bits, which places the middle
+    rank or ranks. Two middle ranks in different bins are the largest
+    pattern of the first bin and the smallest of the second. A bin of at
+    most _BLOCK_CELLS patterns is gathered and sorted; a larger one is
+    counted again by its next 16 bits, until its bins hold one pattern."""
+    first, last, below = 0, _LAST_BITS, 0  # `below` patterns lie under first
+    shift, ranks = 47, None
+    while True:
+        bins = ((last - first) >> shift) + 1
+        counts = np.zeros(bins, dtype=np.int64)
+        for bits in _positive_bits(blocks, first, last):
+            counts += np.bincount((bits - first) >> shift, minlength=bins)
+        if ranks is None:
+            total = int(counts.sum())
+            if total == 0:
+                return 1.0
+            ranks = ((total - 1) // 2, total // 2)
+        ends = below + np.cumsum(counts)
+        lo, hi = (int(b) for b in np.searchsorted(ends, ranks, side="right"))
+        below = int(ends[lo] - counts[lo])
+        start, width = first + (lo << shift), 1 << shift
+        if lo != hi:
+            split = first + (hi << shift)
+            low, high = -1, last
+            for bits in _positive_bits(blocks, start, split + width - 1):
+                in_lo = bits < split
+                low = max(low, int(bits[in_lo].max(initial=-1)))
+                high = min(high, int(bits[~in_lo].min(initial=last)))
+            pair = [low, high]
+        elif shift == 0:
+            pair = [start, start]
+        elif counts[lo] <= _BLOCK_CELLS:
+            bits = np.sort(np.concatenate(list(_positive_bits(blocks, start, start + width - 1))))
+            pair = [int(bits[r - below]) for r in ranks]
+        else:
+            first, last, shift = start, start + width - 1, max(shift - 16, 0)
+            continue
+        a, b = np.array(pair, dtype=np.int64).view(np.float64)
+        return float(a) if ranks[0] == ranks[1] else float((a + b) / 2)
+
+
 def distribution_distance(v_a: np.ndarray, v_b: np.ndarray) -> float:
     """Squared maximum mean discrepancy between two embedding clouds under
-    an RBF kernel, bandwidth set by the median heuristic over the pooled
-    pairwise distances. Biased V-statistic, so identical clouds give 0.0
-    exactly and the value never goes negative."""
+    an RBF kernel exp(-d²/m), m the median of the positive squared distances
+    between distinct pooled rows. Biased V-statistic, so it never goes
+    negative, and bitwise-equal clouds give 0.0 exactly.
+
+    The pooled distances are formed in blocks of rows (see
+    :func:`_upper_sq_distances`), so memory does not grow with the square
+    of the row count: one pass finds the median's bins, a second the median,
+    and a last one sums the kernel over the pairs within each cloud and
+    across."""
     v_a = np.asarray(v_a, dtype=np.float64)
     v_b = np.asarray(v_b, dtype=np.float64)
     if v_a.ndim != 2 or v_b.ndim != 2 or v_a.shape[1] != v_b.shape[1]:
@@ -359,30 +455,27 @@ def distribution_distance(v_a: np.ndarray, v_b: np.ndarray) -> float:
     # order the two clouds canonically so the result is exactly symmetric
     key_a = (v_a.shape, v_a.tobytes())
     key_b = (v_b.shape, v_b.tobytes())
+    if key_a == key_b:
+        return 0.0
     if key_b < key_a:
         v_a, v_b = v_b, v_a
-    pooled = np.vstack([v_a, v_b])
-    sq = (pooled * pooled).sum(axis=1)
-    # sq_i + sq_j - 2 g_ij with one (2n)^2 temporary instead of three; the
-    # in-place steps do the same arithmetic in the same order
-    gram = pooled @ pooled.T
-    gram *= 2.0
-    d2 = sq[:, None] + sq[None, :]
-    d2 -= gram
-    del gram
-    np.maximum(d2, 0.0, out=d2)
-    # upper triangle through a boolean mask: no (2n)^2/2 index arrays
-    off_diag = d2[~np.tri(d2.shape[0], dtype=bool)]
-    positive = off_diag[off_diag > 0]
-    denom = float(np.median(positive, overwrite_input=True)) if positive.size else 1.0
-    del off_diag, positive
-    # d2 / -denom is -d2 / denom exactly; the kernel overwrites d2
-    k = np.exp(np.divide(d2, -denom, out=d2), out=d2)
     na, nb = v_a.shape[0], v_b.shape[0]
-    k_aa = k[:na, :na].mean()
-    k_bb = k[na:, na:].mean()
-    k_ab = k[:na, na:].mean()
-    return max(float(k_aa + k_bb - 2.0 * k_ab), 0.0)
+    pooled = np.vstack([v_a, v_b])
+    n = na + nb
+    if n * (n - 1) // 2 <= _KEPT_CELLS:
+        blocks = list(_upper_sq_distances(pooled, na)).__iter__
+    else:
+        blocks = functools.partial(_upper_sq_distances, pooled, na)
+    denom = _median_of_positive(blocks)
+    # kernel sums over the pairs i < j of each region; the last pass, so it
+    # may overwrite kept blocks. d2 / -denom is -d2 / denom exactly
+    sums = [0.0, 0.0, 0.0]
+    for region, cells in blocks():
+        sums[region] += float(np.exp(np.divide(cells, -denom, out=cells), out=cells).sum())
+    # the kernel is symmetric with a unit diagonal, so each cloud's sum is
+    # its row count plus twice its pairs i < j
+    s_aa, s_ab, s_bb = na + 2.0 * sums[0], sums[1], nb + 2.0 * sums[2]
+    return max(s_aa / na**2 + s_bb / nb**2 - 2.0 * s_ab / (na * nb), 0.0)
 
 
 def project_2d(pooled: np.ndarray) -> np.ndarray:

@@ -34,17 +34,22 @@ class SynthSpec:
     center_scale: float = 1.0
 
     def __post_init__(self):
+        # each message names the fields its rule reads: the CLI names the
+        # config key or flag that set them from it
         if self.num_blocks < 2:
-            raise ValueError("need at least two blocks for labels to mean anything")
+            raise ValueError("num_blocks must be at least 2 for labels to mean anything")
         if self.nodes_per_block < 1:
             raise EmptyBlock(f"nodes_per_block={self.nodes_per_block} leaves blocks empty")
         if not (0.0 <= self.p_out < self.p_in <= 1.0):
             raise ValueError("need 0 <= p_out < p_in <= 1")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be positive")
-        if not (0 <= self.noise_sigma < np.inf and 0 <= self.divergence < np.inf
-                and 0 < self.center_scale < np.inf):
-            raise ValueError("noise_sigma, divergence >= 0 and center_scale > 0 must be finite")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and non-negative")
+        if not 0 <= self.divergence < np.inf:
+            raise ValueError("divergence must be finite and non-negative")
+        if not 0 < self.center_scale < np.inf:
+            raise ValueError("center_scale must be finite and positive")
 
     @property
     def num_nodes(self) -> int:

@@ -46,8 +46,12 @@ class TrainConfig:
     disc_hidden_layers: int = 2
 
     def __post_init__(self):
-        if self.embedding_dim < 1 or self.num_layers < 1:
-            raise ValueError("embedding_dim and num_layers must be positive")
+        # each message names the fields its rule reads: the CLI names the
+        # config key or flag that set them from it
+        if self.embedding_dim < 1:
+            raise ValueError("embedding_dim must be positive")
+        if self.num_layers < 1:
+            raise ValueError("num_layers must be positive")
         if self.negative_samples < 1:
             raise ValueError("negative_samples must be at least 1")
         if not 0 <= self.adv_weight < math.inf:
@@ -56,8 +60,10 @@ class TrainConfig:
             raise ValueError("disc_steps must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if not (0 < self.encoder_lr < math.inf and 0 < self.disc_lr < math.inf):
-            raise ValueError("learning rates encoder_lr and disc_lr must be finite and positive")
+        if not 0 < self.encoder_lr < math.inf:
+            raise ValueError("encoder_lr must be finite and positive")
+        if not 0 < self.disc_lr < math.inf:
+            raise ValueError("disc_lr must be finite and positive")
         if self.edge_batch_size is not None and self.edge_batch_size < 1:
             raise ValueError("edge_batch_size must be positive when set")
         if self.disc_hidden_layers < 0:

@@ -236,6 +236,57 @@ def test_generate_rejects_empty_blocks_naming_the_field(tmp_path, capsys):
     assert "nodes_per_block" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, values, keys, rule",
+    [
+        ("train", {"epochs": -1}, ["epochs"], "epochs must be non-negative"),
+        # the keys in range are not named
+        ("train", {"embedding_dim": 6, "encoder_lr": 0}, ["encoder_lr"], "encoder_lr must be finite"),
+        ("generate", {"p_in": 0.01, "p_out": 0.02}, ["p_in", "p_out"], "need 0 <= p_out < p_in <= 1"),
+        ("generate", {"num_blocks": 1}, ["num_blocks"], "num_blocks must be at least 2"),
+    ],
+    ids=["epochs", "encoder_lr", "p_in-p_out", "num_blocks"],
+)
+def test_out_of_range_config_value_names_its_file_and_keys(tmp_path, capsys, command, values, keys, rule):
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path / "t.json", **values), "--out", str(out)]
+    if command == "train":
+        argv += ["--data", str(generate_tiny(tmp_path))]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    noun, verb = ("keys", "are") if len(keys) > 1 else ("key", "is")
+    named = ", ".join(repr(key) for key in keys)
+    assert f"error: {tmp_path / 't.json'}: config {noun} {named} {verb} out of range: " in err
+    assert rule in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, rule",
+    [
+        ("train", "--epochs", "-1", "epochs must be non-negative"),
+        ("train", "--dim", "0", "embedding_dim must be positive"),
+        ("generate", "--divergence", "-1", "divergence"),
+    ],
+)
+def test_out_of_range_flag_is_named(tmp_path, capsys, command, flag, value, rule):
+    # the config sets the same key in range: the flag's value is at fault
+    out = tmp_path / "out"
+    if command == "train":
+        config = tiny_train_config(tmp_path)
+        argv = ["train", "--data", str(generate_tiny(tmp_path))]
+    else:
+        config = tiny_data_config(tmp_path, divergence=0.2)
+        argv = ["generate"]
+    capsys.readouterr()
+    assert main(argv + ["--config", config, flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: flag {flag} is out of range: " in err and rule in err
+    assert config not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # --- train -----------------------------------------------------------------------
 
 
@@ -612,6 +663,7 @@ def test_eval_rejects_a_probe_that_overflows(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "NaN or Inf" in err and "Traceback" not in err
+    assert f"{config}: probe failed with config keys 'classifier_lr': " in err
     assert not out.exists()
 
 
@@ -675,6 +727,21 @@ def test_ablate_checks_classifier_options_before_training(tmp_path, capsys):
     err = capsys.readouterr().err
     assert config in err and "'classifier_epochs'" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ablate_rejects_a_probe_that_overflows_before_writing(tmp_path, capsys):
+    data = generate_tiny(tmp_path)
+    out = tmp_path / "ablation"
+    config = tiny_train_config(tmp_path, classifier_lr=1e300, classifier_epochs=5)
+    code = main(["ablate", "--config", config, "--data", str(data), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "NaN or Inf" in err and "Traceback" not in err
+    assert f"{config}: probe failed with config keys 'classifier_lr', 'classifier_epochs': " in err
+    # each arm's directory holds its divergence dump if it has one, so it
+    # is made before training; nothing is written into either
+    assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 def test_ablate_rejects_zero_lambda(tmp_path, capsys):

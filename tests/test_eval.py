@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -497,8 +498,8 @@ def test_mmd_non_negative_on_near_identical_clouds():
 
 
 def _mmd_out_of_place(v_a, v_b):
-    # the plain formula, every step into a fresh array; the library's
-    # in-place version must give the same bits
+    # the plain formula over the whole pooled (2n)^2 matrix, every step into
+    # a fresh array; the library's blocked sums must agree with it to rounding
     key_a, key_b = (v_a.shape, v_a.tobytes()), (v_b.shape, v_b.tobytes())
     if key_b < key_a:
         v_a, v_b = v_b, v_a
@@ -511,15 +512,97 @@ def _mmd_out_of_place(v_a, v_b):
     return max(float(k[:na, :na].mean() + k[na:, na:].mean() - 2.0 * k[:na, na:].mean()), 0.0)
 
 
+# 1,100 + 900 rows: the first cloud's rows span three blocks of _BLOCK_CELLS
 @pytest.mark.parametrize(
     "na, nb, d, scale, shift",
-    [(5, 7, 3, 1.0, 0.0), (300, 300, 32, 1.0, 0.3), (50, 30, 8, 10.0, 1.0), (40, 40, 2, 1e-3, 0.0)],
+    [(5, 7, 3, 1.0, 0.0), (300, 300, 32, 1.0, 0.3), (50, 30, 8, 10.0, 1.0), (40, 40, 2, 1e-3, 0.0),
+     (1100, 900, 8, 1.0, 0.5)],
 )
-def test_mmd_equals_out_of_place_formula_bitwise(na, nb, d, scale, shift):
+def test_mmd_matches_out_of_place_formula(na, nb, d, scale, shift):
     rng = np.random.default_rng(22)
     a = scale * rng.normal(size=(na, d))
     b = scale * rng.normal(size=(nb, d)) + shift
-    assert ev.distribution_distance(a, b) == _mmd_out_of_place(a, b)
+    assert ev.distribution_distance(a, b) == pytest.approx(_mmd_out_of_place(a, b), rel=1e-12)
+
+
+# blocks of one row, and of a few rows formed again on every pass
+_SMALL_BLOCKS = pytest.mark.parametrize(
+    "block_cells, kept_cells", [(1, 0), (97, 0), (97, 1 << 23)], ids=["rows", "small", "small-kept"]
+)
+
+
+@_SMALL_BLOCKS
+@pytest.mark.parametrize("na, nb", [(1, 1), (1, 30), (23, 17), (64, 64)])
+def test_mmd_does_not_depend_on_the_block_size(monkeypatch, block_cells, kept_cells, na, nb):
+    rng = np.random.default_rng(na + nb)
+    a, b = rng.normal(size=(na, 5)), rng.normal(size=(nb, 5)) + 0.4
+    want = _mmd_out_of_place(a, b)
+    monkeypatch.setattr(ev, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(ev, "_KEPT_CELLS", kept_cells)
+    assert ev.distribution_distance(a, b) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 31, 64, 1100])
+def test_mmd_is_exact_on_equal_and_swapped_clouds_at_any_size(n):
+    # 1,100 rows per cloud: blocks end inside each cloud
+    rng = np.random.default_rng(n)
+    v, w = rng.normal(size=(n, 6)), rng.normal(size=(n + 3, 6)) + 0.4
+    assert ev.distribution_distance(v, v.copy()) == 0.0
+    assert ev.distribution_distance(v, w) == ev.distribution_distance(w, v)
+
+
+@_SMALL_BLOCKS
+def test_mmd_is_exact_on_equal_and_swapped_clouds_in_small_blocks(monkeypatch, block_cells, kept_cells):
+    monkeypatch.setattr(ev, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(ev, "_KEPT_CELLS", kept_cells)
+    rng = np.random.default_rng(24)
+    for n in (2, 5, 19, 40):
+        v, w = rng.normal(size=(n, 3)), rng.normal(size=(n + 1, 3))
+        assert ev.distribution_distance(v, v.copy()) == 0.0
+        assert ev.distribution_distance(v, w) == ev.distribution_distance(w, v)
+
+
+def _as_pieces(values, parts=3):
+    return [(0, part) for part in np.array_split(values, parts)].__iter__
+
+
+# a cap of 4 patterns makes every middle bin too large to sort, so the
+# search counts it again by its next bits, down to single patterns
+@pytest.mark.parametrize("cap", [1 << 20, 4], ids=["default", "cap-4"])
+@pytest.mark.parametrize("count", [1, 2, 9, 10, 301, 302])
+def test_median_of_positive_equals_np_median(monkeypatch, cap, count):
+    monkeypatch.setattr(ev, "_BLOCK_CELLS", cap)
+    rng = np.random.default_rng(count)
+    spread = 10.0 ** rng.uniform(-300, 250, size=count)
+    # a few ulps apart, with ties: one bin of leading bits holds them all
+    close = 1.5 * (1.0 + 1e-15 * rng.integers(0, 4, size=count))
+    repeated = rng.choice(spread, size=count)
+    # odd in its last bit, so a middle pair taken one pattern off does not
+    # round back to it
+    tied = np.full(count, np.nextafter(2.5, 3.0))
+    for positive in (spread, close, repeated, tied):
+        values = np.concatenate([positive, np.zeros(5)])
+        rng.shuffle(values)
+        assert ev._median_of_positive(_as_pieces(values)) == np.median(positive)
+
+
+def test_median_of_no_positive_value_is_one():
+    assert ev._median_of_positive(_as_pieces(np.zeros(6))) == 1.0
+    assert ev._median_of_positive(_as_pieces(np.zeros(0))) == 1.0
+
+
+def test_mmd_memory_does_not_grow_with_the_pooled_square():
+    rng = np.random.default_rng(25)
+    n = 3000
+    a, b = rng.normal(size=(n, 32)), rng.normal(size=(n, 32)) + 0.1
+    kernel = 8 * (2 * n) ** 2
+    tracemalloc.start()
+    try:
+        ev.distribution_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < kernel / 4
 
 
 def test_mmd_input_validation():
