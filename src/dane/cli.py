@@ -8,8 +8,9 @@ Four commands cover the whole loop on disk:
   dane ablate    same run with and without the adversary, plus deltas
 
 Exit codes: 0 success, 2 unusable input (bad flags, bad config, bad data
-files), 3 training diverged to a non-finite loss. Log verbosity comes from
-the DANE_LOG_LEVEL environment variable (debug, info, warning, error).
+files, sizes too large for memory), 3 training diverged to a non-finite
+loss. Log verbosity comes from the DANE_LOG_LEVEL environment variable
+(debug, info, warning, error).
 """
 
 from __future__ import annotations
@@ -306,6 +307,11 @@ def cmd_eval(args) -> int:
     pair = _load_pair(args.data)
     labels_a, labels_b = _load_pair_labels(args.data, pair)
     checkpoint = load_checkpoint(args.checkpoint)
+    if args.seed is not None and args.seed != checkpoint.seed:
+        raise DaneError(
+            f"--seed {args.seed} differs from the run seed {checkpoint.seed} of "
+            f"{args.checkpoint}; eval reads its seed from the checkpoint"
+        )
     config = checkpoint.extra.get("config")
     activation = config.get("hidden_activation", "relu") if isinstance(config, dict) else "relu"
     if activation != "relu":
@@ -466,6 +472,9 @@ def main(argv=None) -> int:
         return 3
     except (DaneError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode gradients on an explicit tape.
 
 Every value is a 2-D array; scalars are 1x1. Operations validate shapes,
-reject NaN/Inf at the boundary, and append a record to the tape of their
-inputs when a gradient will be needed. ``backward`` replays the records in
-reverse, summing contributions when a node feeds several consumers, so
-weights shared across branches (or across two graphs) accumulate one
-combined gradient.
+reject NaN/Inf at the boundary, and, when an input is on a tape, append an
+``(out, pulls)`` record to that tape and put their output on it. A tensor
+is on a tape exactly when its ``tape`` is set. ``backward`` replays the
+records in reverse, summing contributions when a node feeds several
+consumers, so weights shared across branches (or across two graphs)
+accumulate one combined gradient.
 """
 
 from __future__ import annotations
@@ -31,19 +32,20 @@ if TYPE_CHECKING:
 class Tensor2:
     """A 2-D float64 value, optionally attached to a :class:`GradTape`."""
 
-    __slots__ = ("data", "tape", "requires_grad")
+    __slots__ = ("data", "tape")
 
-    def __init__(self, data, tape: "GradTape | None" = None, requires_grad: bool = False):
+    def __init__(self, data, tape: "GradTape | None" = None):
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeMismatch(f"expected a 2-D array, got shape {arr.shape}")
         if arr.size and not np.isfinite(arr).all():
             raise NonFiniteValue("tensor contains NaN or Inf")
-        if requires_grad and tape is None:
-            raise ValueError("a tensor cannot require gradients without a tape")
         self.data = arr
         self.tape = tape
-        self.requires_grad = requires_grad
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.tape is not None
 
     @property
     def rows(self) -> int:
@@ -67,31 +69,19 @@ class Tensor2:
         return f"Tensor2(shape={self.data.shape}{grad})"
 
 
-class _Record:
-    __slots__ = ("out", "pulls")
-
-    def __init__(self, out, pulls):
-        self.out = out
-        self.pulls = pulls  # [(input tensor, fn(upstream) -> contribution)]
-
-
 class GradTape:
     """Ordered log of executed operations, replayed in reverse by ``backward``."""
 
     def __init__(self):
-        self._records: list[_Record] = []
+        # (op output, [(input tensor, fn(upstream) -> contribution)])
+        self._records: list[tuple[Tensor2, list]] = []
         self._parameters: list[Tensor2] = []
-        self._produced: set[int] = set()
 
     def parameter(self, data) -> Tensor2:
         """Register a leaf tensor whose gradient ``backward`` will report."""
-        node = Tensor2(data, tape=self, requires_grad=True)
+        node = Tensor2(data, tape=self)
         self._parameters.append(node)
         return node
-
-    def _record(self, out: Tensor2, pulls) -> None:
-        self._records.append(_Record(out, pulls))
-        self._produced.add(id(out))
 
 
 def _as_tensor(x) -> Tensor2:
@@ -102,14 +92,14 @@ def _make(data, inputs: list[tuple[Tensor2, Callable]]) -> Tensor2:
     """Build the op result, recording it when any input tracks gradients."""
     tape = None
     for node, _ in inputs:
-        if node.requires_grad:
+        if node.tape is not None:
             if tape is None:
                 tape = node.tape
             elif tape is not node.tape:
                 raise ValueError("operands belong to different tapes")
-    out = Tensor2(data, tape=tape, requires_grad=tape is not None)
+    out = Tensor2(data, tape=tape)
     if tape is not None:
-        tape._record(out, [(n, fn) for n, fn in inputs if n.requires_grad])
+        tape._records.append((out, [(n, fn) for n, fn in inputs if n.tape is not None]))
     return out
 
 
@@ -119,16 +109,20 @@ def backward(tape: GradTape, loss: Tensor2) -> dict[Tensor2, np.ndarray]:
     Parameters the loss never touched map to zero arrays rather than being
     skipped, so update code can iterate uniformly.
     """
-    if not isinstance(loss, Tensor2) or id(loss) not in tape._produced:
+    if (
+        not isinstance(loss, Tensor2)
+        or loss.tape is not tape
+        or any(loss is p for p in tape._parameters)
+    ):
         raise DisconnectedLoss("loss was not produced by an operation on this tape")
     if loss.data.shape != (1, 1):
         raise ShapeMismatch(f"loss must be 1x1, got {loss.data.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-    for rec in reversed(tape._records):
-        g = grads.pop(id(rec.out), None)
+    for out, pulls in reversed(tape._records):
+        g = grads.pop(id(out), None)
         if g is None:
             continue
-        for node, pull in rec.pulls:
+        for node, pull in pulls:
             contribution = pull(g)
             held = grads.get(id(node))
             # never add in place: `held` may alias an upstream gradient
@@ -225,9 +219,9 @@ def negative_sampling_loss(anchors, v, candidates) -> Tensor2:
     anchor: the linked partner first, then Q negatives (Q may be zero).
     The forward pass scores the (E, 1+Q) matrix and sums a softplus that
     never overflows (a score of -1000 on a partner costs exactly 1000).
-    Only E x (1+Q) values reach the tape: the gradient is the sparse E x n
-    matrix S of g * d loss / d score at (i, c_ik), and the two pulls are
-    ``S @ v`` for the anchors and ``S.T @ anchors`` for ``v``.
+    Only E x (1+Q) values reach the tape: the sparse E x n matrix S of
+    d loss / d score at (i, c_ik). Under upstream g the two pulls are
+    ``(g S) @ v`` for the anchors and ``(g S).T @ anchors`` for ``v``.
     """
     anchors, v = _as_tensor(anchors), _as_tensor(v)
     cand = np.asarray(candidates, dtype=np.int64)
@@ -244,25 +238,18 @@ def negative_sampling_loss(anchors, v, candidates) -> Tensor2:
     arg = np.einsum("ed,ekd->ek", a, vd[cand])
     arg[:, 0] *= -1.0
     out = np.array([[_softplus(arg).sum()]])
-    if not (anchors.requires_grad or v.requires_grad):
+    if anchors.tape is None and v.tape is None:
         return Tensor2(out)
-    # d loss / d score
+    # d loss / d score; rows of S are already sorted by anchor
     dscore = expit(arg)
     dscore[:, 0] *= -1.0
     k = cand.shape[1]
-    held = [None, None]  # (upstream g, S): both pulls of one backward share S
-
-    def weighted(g):
-        # rows of S are already sorted by anchor, so no sort is needed
-        if held[0] is not g:
-            s = sparse.csr_matrix(
-                ((g[0, 0] * dscore).ravel(), cand.ravel(), np.arange(0, e * k + 1, k)),
-                shape=(e, v.rows),
-            )
-            held[:] = g, s
-        return held[1]
-
-    return _make(out, [(anchors, lambda g: weighted(g) @ vd), (v, lambda g: weighted(g).T @ a)])
+    s = sparse.csr_matrix(
+        (dscore.ravel(), cand.ravel(), np.arange(0, e * k + 1, k)), shape=(e, v.rows)
+    )
+    return _make(
+        out, [(anchors, lambda g: (g[0, 0] * s) @ vd), (v, lambda g: (g[0, 0] * s).T @ a)]
+    )
 
 
 def least_squares(a, b, target_a: float, target_b: float) -> Tensor2:

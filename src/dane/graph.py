@@ -291,12 +291,7 @@ def _load_edges(path, num_nodes: int) -> np.ndarray:
         pairs.append((u, v))
     if self_loops:
         logger.warning("%s: dropped %d self loop(s)", path, self_loops)
-    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    canonical = _canonical_edges(edges)
-    dropped = edges.shape[0] - canonical.shape[0]
-    if dropped:
-        logger.warning("%s: removed %d duplicate edge(s)", path, dropped)
-    return canonical
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def load_graph(edge_path, feature_path) -> Graph:
@@ -309,7 +304,11 @@ def load_graph(edge_path, feature_path) -> Graph:
     """
     features = _load_features(feature_path)
     edges = _load_edges(edge_path, features.shape[0])
-    return Graph(features.shape[0], edges, features)
+    graph = Graph(features.shape[0], edges, features)
+    dropped = edges.shape[0] - graph.num_edges
+    if dropped:
+        logger.warning("%s: removed %d duplicate edge(s)", edge_path, dropped)
+    return graph
 
 
 def load_labels(path, num_nodes: int | None = None) -> dict[int, tuple[str, ...]]:

@@ -273,19 +273,21 @@ def evaluate_losses(
     batch_tgt: model.EdgeBatch,
     epoch: int = -1,
 ) -> EpochRecord:
-    """Loss snapshot of given embeddings: no tape, no parameter update."""
+    """Loss snapshot of given embeddings: no tape, no parameter update. Every
+    loss, the total too, comes from an op, so a NaN or Inf in any of them
+    raises :class:`NonFiniteValue`."""
     v_src, v_tgt = Tensor2(v_src), Tensor2(v_tgt)
-    l_gcn = model.gcn_loss(v_src, v_tgt, batch_src, batch_tgt).item()
+    l_gcn = model.gcn_loss(v_src, v_tgt, batch_src, batch_tgt)
     s_src = model.discriminator_forward(disc, v_src)
     s_tgt = model.discriminator_forward(disc, v_tgt)
     l_d = model.discriminator_loss(s_src, s_tgt).item()
-    l_adv = model.adversarial_loss(s_src, s_tgt).item()
+    l_adv = model.adversarial_loss(s_src, s_tgt)
     return EpochRecord(
         epoch=epoch,
-        l_gcn=l_gcn,
+        l_gcn=l_gcn.item(),
         l_d=l_d,
-        l_adv=l_adv,
-        l_total=l_gcn + cfg.adv_weight * l_adv,
+        l_adv=l_adv.item(),
+        l_total=model.total_loss(l_gcn, l_adv, cfg.adv_weight).item(),
         mean_score_src=float(s_src.data.mean()),
         mean_score_tgt=float(s_tgt.data.mean()),
         seconds=0.0,
@@ -367,11 +369,6 @@ def fit(
                 encoder_round(pair, enc, disc, cfg, state, batch_src, batch_tgt)
                 v_src, v_tgt = _encode_pair(enc, pair, state)
             record = evaluate_losses(v_src, v_tgt, disc, cfg, snap_src, snap_tgt, epoch)
-            if not all(
-                math.isfinite(x)
-                for x in (record.l_gcn, record.l_d, record.l_adv, record.l_total)
-            ):
-                raise NonFiniteValue("non-finite epoch losses")
         except NonFiniteValue as exc:
             if diagnostics_path is not None:
                 good_enc, good_disc, good_epoch = last_good

@@ -348,6 +348,24 @@ def test_train_writes_the_model_fit_returns(tmp_path, capsys):
     assert f"final l_total {final:.6f}" in capsys.readouterr().out
 
 
+# each size makes the first array of its run need more than 128 PiB, which
+# no machine can allocate, so the allocation fails at once
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("train", "embedding_dim", 10**16), ("generate", "nodes_per_block", 10**16)],
+)
+def test_a_size_too_large_for_memory_is_bad_input(tmp_path, capsys, command, key, value):
+    if command == "train":
+        args = ["train", "--config", tiny_train_config(tmp_path, **{key: value}),
+                "--data", str(generate_tiny(tmp_path))]
+    else:
+        args = ["generate", "--config", tiny_data_config(tmp_path, **{key: value})]
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory: ") and "Traceback" not in err
+
+
 def test_train_missing_data_dir(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
     assert code == 2
@@ -665,6 +683,29 @@ def test_eval_rejects_a_probe_that_overflows(tmp_path, capsys):
     assert "NaN or Inf" in err and "Traceback" not in err
     assert f"{config}: probe failed with config keys 'classifier_lr': " in err
     assert not out.exists()
+
+
+def test_eval_rejects_a_seed_other_than_the_checkpoints(tmp_path, capsys):
+    data, run = trained_tiny(tmp_path)
+    out = tmp_path / "evaluation"
+    code = main(["eval", "--data", str(data), "--checkpoint", str(run / "checkpoint.json"),
+                 "--out", str(out), "--seed", "99"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--seed 99 differs from the run seed 2 of" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_eval_accepts_the_checkpoints_own_seed(tmp_path, capsys):
+    data, run = trained_tiny(tmp_path)
+    reports = []
+    for name, seed_flag in (("e1", []), ("e2", ["--seed", "2"])):
+        out = tmp_path / name
+        assert main(["eval", "--data", str(data), "--checkpoint", str(run / "checkpoint.json"),
+                     "--out", str(out), *seed_flag]) == 0
+        reports.append((out / "report_a2b.json").read_bytes())
+    assert reports[0] == reports[1]
+    capsys.readouterr()
 
 
 def test_eval_missing_checkpoint(tmp_path, capsys):

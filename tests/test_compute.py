@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.special import expit
 
 from dane import compute
@@ -37,11 +38,6 @@ def test_tensor_coerces_to_float64():
     assert t.data.dtype == np.float64
     assert t.data.flags["C_CONTIGUOUS"]
     assert t.shape == (2, 2)
-
-
-def test_requires_grad_needs_tape():
-    with pytest.raises(ValueError):
-        Tensor2(np.zeros((1, 1)), requires_grad=True)
 
 
 def test_item_requires_scalar():
@@ -347,6 +343,31 @@ def test_negative_sampling_loss_gradients_equal_gathered_reference_bitwise(q):
     assert got_v.tobytes() == want_v.tobytes()
 
 
+def test_negative_sampling_loss_pulls_scale_the_sparse_gradient_bitwise():
+    # under an upstream other than 1, each pull equals the product with the
+    # sparse matrix S built from g * dscore, bit for bit; ids repeat in rows
+    rng = np.random.default_rng(15)
+    a = rng.normal(size=(30, 5)) * np.exp(2.0 * rng.normal(size=(30, 5)))
+    v = rng.normal(size=(6, 5)) * np.exp(2.0 * rng.normal(size=(6, 5)))
+    a, v = a / np.abs(a).max(), v / np.abs(v).max()
+    candidates = rng.integers(0, 6, size=(30, 4))
+    _, (got_a, got_v) = tape_grads(
+        lambda n: compute.scale(compute.negative_sampling_loss(n[0], n[1], candidates), 0.37),
+        [a, v],
+    )
+    arg = np.einsum("ed,ekd->ek", a, v[candidates])
+    arg[:, 0] *= -1.0
+    dscore = expit(arg)
+    dscore[:, 0] *= -1.0
+    e, k = candidates.shape
+    s = sparse.csr_matrix(
+        ((0.37 * dscore).ravel(), candidates.ravel(), np.arange(0, e * k + 1, k)),
+        shape=(e, v.shape[0]),
+    )
+    assert got_a.tobytes() == (s @ v).tobytes()
+    assert got_v.tobytes() == (s.T @ a).tobytes()
+
+
 def test_negative_sampling_loss_untaped_skips_the_gradient(monkeypatch):
     # a forward pass on constants (the epoch snapshot) builds no gradient
     def unused(*args):
@@ -431,15 +452,15 @@ def test_unused_parameter_gets_zero_gradient():
 
 
 def test_disconnected_loss_rejected():
+    # a parameter leaf, another tape's output and a constant: none is an
+    # op output of this tape
     tape = GradTape()
-    tape.parameter(np.ones((1, 1)))
+    leaf = tape.parameter(np.ones((1, 1)))
     other = GradTape()
-    w = other.parameter(np.ones((1, 1)))
-    foreign = total(w)
-    with pytest.raises(DisconnectedLoss):
-        backward(tape, foreign)
-    with pytest.raises(DisconnectedLoss):
-        backward(tape, Tensor2(np.ones((1, 1))))
+    foreign = total(other.parameter(np.ones((1, 1))))
+    for loss in (leaf, foreign, Tensor2(np.ones((1, 1)))):
+        with pytest.raises(DisconnectedLoss):
+            backward(tape, loss)
 
 
 def test_backward_requires_scalar_loss():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dane import model, train
+from dane.compute import Tensor2
 from dane.errors import NonFiniteLoss, NonFiniteValue, ShapeMismatch
 from dane.graph import Graph, GraphPair, NegativeSampler
 from dane.model import load_checkpoint
@@ -394,6 +395,32 @@ def test_divergence_after_finite_epochs_dumps_the_last_finite_model(tmp_path):
     assert ckpt.extra == {"failed_epoch": 2, "last_finite_epoch": 1}
     for got, want in zip(ckpt.encoder.weights, kept[1]):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_epoch_total_of_finite_losses_is_divergence(tmp_path, monkeypatch):
+    # from epoch 1 on, the snapshot's structural and adversarial losses are
+    # each finite, but l_gcn + adv_weight * l_adv overflows
+    calls = {"gcn": 0, "adv": 0}
+    gcn_loss, adversarial_loss = model.gcn_loss, model.adversarial_loss
+
+    def huge_after_first_snapshot(name, original):
+        def loss(a, b, *rest):
+            if a.tape is not None:
+                return original(a, b, *rest)
+            calls[name] += 1
+            return original(a, b, *rest) if calls[name] == 1 else Tensor2([[1e308]])
+        return loss
+
+    monkeypatch.setattr(model, "gcn_loss", huge_after_first_snapshot("gcn", gcn_loss))
+    monkeypatch.setattr(
+        model, "adversarial_loss", huge_after_first_snapshot("adv", adversarial_loss)
+    )
+    dump = tmp_path / "diverged.json"
+    with pytest.raises(NonFiniteLoss) as info:
+        fit(small_pair(), quick_config(epochs=4), diagnostics_path=dump)
+    assert info.value.epoch == 1
+    assert load_checkpoint(dump).extra == {"failed_epoch": 1, "last_finite_epoch": 0}
 
 
 # --- train log -----------------------------------------------------------------
