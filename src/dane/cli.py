@@ -223,13 +223,20 @@ def cmd_generate(args) -> int:
 
 
 def _fit(pair, cfg, out_dir):
-    """fit, dumping the last finite model to ``out_dir`` if it diverges."""
-    os.makedirs(out_dir, exist_ok=True)
+    """fit, dumping the last finite model to ``out_dir`` if it diverges. The
+    directory is made only when a file is written to it; a path under a
+    file, where it never could be, is rejected before training."""
+    parent = os.path.abspath(out_dir)
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise DaneError(f"{out_dir}: cannot make this directory: {parent} is a file")
     return fit(pair, cfg, diagnostics_path=os.path.join(out_dir, "diverged.json"))
 
 
 def _write_training(out_dir, cfg, result) -> None:
     """The checkpoint, embeddings and log of a finished fit."""
+    os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(
         os.path.join(out_dir, "checkpoint.json"),
         result.encoder,
@@ -466,7 +473,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # every op output and the probe's logits are checked for NaN/Inf, so
+        # numpy's floating-point warnings would only print ahead of the error
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except NonFiniteLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

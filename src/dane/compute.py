@@ -144,12 +144,13 @@ def matmul(a, b) -> Tensor2:
 
 def spmm(p: "PropagationMatrix", h) -> Tensor2:
     """Sparse propagation times dense features. The sparse operand is a
-    constant; only the dense side receives a gradient."""
+    constant; only the dense side receives a gradient, ``P.T @ g``, which
+    is ``P @ g`` since :class:`PropagationMatrix` is exactly symmetric."""
     h = _as_tensor(h)
     m = p.matrix
     if m.shape[1] != h.rows:
         raise ShapeMismatch(f"spmm: {m.shape} @ ({h.rows}, {h.cols})")
-    return _make(m @ h.data, [(h, lambda g: m.T @ g)])
+    return _make(m @ h.data, [(h, lambda g: m @ g)])
 
 
 def add(a, b) -> Tensor2:

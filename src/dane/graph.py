@@ -110,12 +110,15 @@ class PropagationMatrix:
 
     Entry (i, j) is 1/sqrt((deg(i)+1)(deg(j)+1)) wherever i == j or {i, j}
     is an edge, and zero elsewhere. Both orientations of an edge receive the
-    identical computed value, so the stored matrix is exactly symmetric.
+    identical computed value, so the stored matrix is exactly symmetric, as
+    the gradient of ``compute.spmm`` needs; the constructor rejects any other.
     """
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: sp.csr_matrix):
+        if matrix.shape[0] != matrix.shape[1] or (matrix != matrix.T).nnz:
+            raise ValueError(f"propagation matrix {matrix.shape} is not exactly symmetric")
         self.matrix = matrix
 
     @property

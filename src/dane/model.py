@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import compute
-from .compute import GradTape, Tensor2
+from .compute import Tensor2
 from .errors import DaneError, ShapeMismatch
 from .graph import NegativeSampler, PropagationMatrix, load_json
 
@@ -71,9 +71,6 @@ class EncoderParams:
     def set_arrays(self, arrays: list[np.ndarray]) -> None:
         self.weights = [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
 
-    def as_nodes(self, tape: GradTape) -> list[Tensor2]:
-        return [tape.parameter(w) for w in self.weights]
-
 
 class DiscriminatorParams:
     """An MLP scoring each embedding row with one real number.
@@ -120,10 +117,7 @@ class DiscriminatorParams:
 
     def arrays(self) -> list[np.ndarray]:
         """Flat parameter list, weights interleaved with their biases."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        return [a for layer in zip(self.weights, self.biases) for a in layer]
 
     def set_arrays(self, arrays: list[np.ndarray]) -> None:
         if len(arrays) != 2 * len(self.weights):
@@ -131,17 +125,13 @@ class DiscriminatorParams:
         self.weights = [np.ascontiguousarray(a, dtype=np.float64) for a in arrays[0::2]]
         self.biases = [np.ascontiguousarray(a, dtype=np.float64) for a in arrays[1::2]]
 
-    def as_nodes(self, tape: GradTape) -> list[Tensor2]:
-        return [tape.parameter(a) for a in self.arrays()]
-
 
 def encode(params, prop: PropagationMatrix, features) -> Tensor2:
     """Run the convolution stack over one graph.
 
-    ``params`` is either :class:`EncoderParams` or the list of tape nodes
-    from ``as_nodes`` when gradients are wanted. Hidden layers apply relu;
-    the final layer is linear so the output space is not boxed into one
-    orthant.
+    ``params`` is either :class:`EncoderParams` or its ``arrays()`` as tape
+    parameters when gradients are wanted. Hidden layers apply relu; the
+    final layer is linear so the output space is not boxed into one orthant.
     """
     weights = params.weights if isinstance(params, EncoderParams) else list(params)
     h = features if isinstance(features, Tensor2) else Tensor2(features)
@@ -216,11 +206,9 @@ def gcn_loss(
 
 def discriminator_forward(params, v) -> Tensor2:
     """Score each row of ``v``; returns (n, 1). ``params`` is either
-    :class:`DiscriminatorParams` or its ``as_nodes`` list."""
-    if isinstance(params, DiscriminatorParams):
-        layers = list(zip(params.weights, params.biases))
-    else:
-        layers = list(zip(params[0::2], params[1::2]))
+    :class:`DiscriminatorParams` or its ``arrays()`` as tape parameters."""
+    arrays = params.arrays() if isinstance(params, DiscriminatorParams) else params
+    layers = list(zip(arrays[0::2], arrays[1::2]))
     h = v if isinstance(v, Tensor2) else Tensor2(v)
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
@@ -256,6 +244,7 @@ CHECKPOINT_VERSION = 1
 
 def _atomic_write_text(path, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -143,8 +143,8 @@ class EpochRecord:
     l_total: float
     mean_score_src: float
     mean_score_tgt: float
-    seconds: float  # wall-clock diagnostic; never serialized, so logs of
-    # identical runs stay byte-identical
+    seconds: float = 0.0  # wall-clock diagnostic set by fit; never serialized,
+    # so logs of identical runs stay byte-identical
 
 
 class TrainLog:
@@ -209,6 +209,28 @@ def _encode_pair(enc, pair, state) -> tuple[np.ndarray, np.ndarray]:
     return v_src, v_tgt
 
 
+def _descend(player, adam: AdamState, rate: float, objective) -> float:
+    """One Adam step of ``player``, either parameter class, down the 1x1 loss
+    ``objective(nodes)``, where ``nodes`` are its ``arrays()`` as parameters
+    of a fresh tape. Returns the pre-update loss."""
+    tape = GradTape()
+    nodes = [tape.parameter(a) for a in player.arrays()]
+    loss = objective(nodes)
+    grads = backward(tape, loss)
+    player.set_arrays(apply_update(player.arrays(), [grads[n] for n in nodes], adam, rate))
+    return loss.item()
+
+
+def _objective(v_src, v_tgt, disc, cfg: TrainConfig, batch_src, batch_tgt):
+    """The encoder's objective on both graphs' embeddings, in op order: l_gcn,
+    both graphs' discriminator scores, l_adv and the weighted total."""
+    l_gcn = model.gcn_loss(v_src, v_tgt, batch_src, batch_tgt)
+    s_src = model.discriminator_forward(disc, v_src)
+    s_tgt = model.discriminator_forward(disc, v_tgt)
+    l_adv = model.adversarial_loss(s_src, s_tgt)
+    return l_gcn, s_src, s_tgt, l_adv, model.total_loss(l_gcn, l_adv, cfg.adv_weight)
+
+
 def discriminator_round(
     v_src: np.ndarray,
     v_tgt: np.ndarray,
@@ -219,18 +241,11 @@ def discriminator_round(
     """One discriminator update against fixed embeddings. Takes plain
     arrays, not the encoder: there is structurally nothing here a gradient
     could flow back into. Returns the pre-update loss."""
-    tape = GradTape()
-    nodes = disc.as_nodes(tape)
-    s_src = model.discriminator_forward(nodes, v_src)
-    s_tgt = model.discriminator_forward(nodes, v_tgt)
-    l_d = model.discriminator_loss(s_src, s_tgt)
-    grads = backward(tape, l_d)
-    disc.set_arrays(
-        apply_update(
-            disc.arrays(), [grads[n] for n in nodes], state.disc_state, cfg.disc_lr
-        )
+    forward = model.discriminator_forward
+    return _descend(
+        disc, state.disc_state, cfg.disc_lr,
+        lambda nodes: model.discriminator_loss(forward(nodes, v_src), forward(nodes, v_tgt)),
     )
-    return l_d.item()
 
 
 def encoder_round(
@@ -246,22 +261,13 @@ def encoder_round(
     its weights stay off the tape, so they receive no update and the
     adversarial gradient lands entirely on the shared encoder weights.
     Returns the pre-update total loss."""
-    tape = GradTape()
-    nodes = enc.as_nodes(tape)
-    v_src = model.encode(nodes, state.prop_src, pair.source.features)
-    v_tgt = model.encode(nodes, state.prop_tgt, pair.target.features)
-    l_gcn = model.gcn_loss(v_src, v_tgt, batch_src, batch_tgt)
-    s_src = model.discriminator_forward(disc, v_src)
-    s_tgt = model.discriminator_forward(disc, v_tgt)
-    l_adv = model.adversarial_loss(s_src, s_tgt)
-    loss = model.total_loss(l_gcn, l_adv, cfg.adv_weight)
-    grads = backward(tape, loss)
-    enc.set_arrays(
-        apply_update(
-            enc.arrays(), [grads[n] for n in nodes], state.enc_state, cfg.encoder_lr
-        )
-    )
-    return loss.item()
+
+    def total(nodes):
+        v_src = model.encode(nodes, state.prop_src, pair.source.features)
+        v_tgt = model.encode(nodes, state.prop_tgt, pair.target.features)
+        return _objective(v_src, v_tgt, disc, cfg, batch_src, batch_tgt)[-1]
+
+    return _descend(enc, state.enc_state, cfg.encoder_lr, total)
 
 
 def evaluate_losses(
@@ -276,21 +282,17 @@ def evaluate_losses(
     """Loss snapshot of given embeddings: no tape, no parameter update. Every
     loss, the total too, comes from an op, so a NaN or Inf in any of them
     raises :class:`NonFiniteValue`."""
-    v_src, v_tgt = Tensor2(v_src), Tensor2(v_tgt)
-    l_gcn = model.gcn_loss(v_src, v_tgt, batch_src, batch_tgt)
-    s_src = model.discriminator_forward(disc, v_src)
-    s_tgt = model.discriminator_forward(disc, v_tgt)
-    l_d = model.discriminator_loss(s_src, s_tgt).item()
-    l_adv = model.adversarial_loss(s_src, s_tgt)
+    l_gcn, s_src, s_tgt, l_adv, l_total = _objective(
+        Tensor2(v_src), Tensor2(v_tgt), disc, cfg, batch_src, batch_tgt
+    )
     return EpochRecord(
         epoch=epoch,
         l_gcn=l_gcn.item(),
-        l_d=l_d,
+        l_d=model.discriminator_loss(s_src, s_tgt).item(),
         l_adv=l_adv.item(),
-        l_total=model.total_loss(l_gcn, l_adv, cfg.adv_weight).item(),
+        l_total=l_total.item(),
         mean_score_src=float(s_src.data.mean()),
         mean_score_tgt=float(s_tgt.data.mean()),
-        seconds=0.0,
     )
 
 

@@ -1,9 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from dane import cli
 from dane.cli import main
 from dane.eval import TransferReport, distribution_distance
 from dane.graph import GraphPair, load_graph
@@ -48,6 +50,17 @@ def generate_tiny(tmp_path, seed=0):
     )
     assert code == 0
     return data
+
+
+def main_without_warnings(argv):
+    """``main(argv)``, failing if it let a numpy RuntimeWarning through:
+    every op output and the probe's logits are checked, so the error line
+    says it all."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return code
 
 
 # --- argument handling ---------------------------------------------------------
@@ -364,6 +377,23 @@ def test_a_size_too_large_for_memory_is_bad_input(tmp_path, capsys, command, key
     assert main([*args, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: not enough memory: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_an_out_that_cannot_be_a_directory_fails_before_training(
+    tmp_path, capsys, monkeypatch, command, under
+):
+    data = generate_tiny(tmp_path)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: pytest.fail("trained"))
+    out = blocker / "run" if under else blocker
+    code = main([command, "--config", tiny_train_config(tmp_path), "--data", str(data),
+                 "--out", str(out)])
+    assert code == 2
+    assert f"{blocker} is a file" in capsys.readouterr().err
 
 
 def test_train_missing_data_dir(tmp_path, capsys):
@@ -428,13 +458,14 @@ def test_train_is_deterministic_on_disk(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_training_exits_3_and_dumps(tmp_path, capsys):
     data = generate_tiny(tmp_path)
     # Adam steps by about lr whatever the gradient; at 1e50 this pair stays finite
     config = tiny_train_config(tmp_path, encoder_lr=1e100, disc_lr=1e100, epochs=40)
     out = tmp_path / "run"
-    code = main(["train", "--config", config, "--data", str(data), "--out", str(out)])
+    code = main_without_warnings(
+        ["train", "--config", config, "--data", str(data), "--out", str(out)]
+    )
     assert code == 3
     assert (out / "diverged.json").exists()
     assert "error" in capsys.readouterr().err
@@ -671,13 +702,13 @@ def test_eval_rejects_out_of_range_classifier_option(tmp_path, capsys, key, valu
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_eval_rejects_a_probe_that_overflows(tmp_path, capsys):
     data, run = trained_tiny(tmp_path)
     out = tmp_path / "evaluation"
     config = write_config(tmp_path / "eval.json", classifier_lr=1e300)
-    code = main(["eval", "--config", config, "--data", str(data),
-                 "--checkpoint", str(run / "checkpoint.json"), "--out", str(out)])
+    code = main_without_warnings(["eval", "--config", config, "--data", str(data),
+                                  "--checkpoint", str(run / "checkpoint.json"),
+                                  "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert "NaN or Inf" in err and "Traceback" not in err
@@ -770,12 +801,13 @@ def test_ablate_checks_classifier_options_before_training(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ablate_rejects_a_probe_that_overflows_before_writing(tmp_path, capsys):
     data = generate_tiny(tmp_path)
     out = tmp_path / "ablation"
     config = tiny_train_config(tmp_path, classifier_lr=1e300, classifier_epochs=5)
-    code = main(["ablate", "--config", config, "--data", str(data), "--out", str(out)])
+    code = main_without_warnings(
+        ["ablate", "--config", config, "--data", str(data), "--out", str(out)]
+    )
     assert code == 2
     err = capsys.readouterr().err
     assert "NaN or Inf" in err and "Traceback" not in err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.stats
 
 from dane.errors import (
@@ -14,6 +15,7 @@ from dane.graph import (
     Graph,
     GraphPair,
     NegativeSampler,
+    PropagationMatrix,
     build_propagation,
     load_graph,
     load_json,
@@ -22,6 +24,7 @@ from dane.graph import (
     write_feature_file,
     write_label_file,
 )
+from dane.synth import SynthSpec, generate_pair
 
 
 def path_graph(n, feature_dim=2):
@@ -102,10 +105,26 @@ def test_propagation_two_nodes_single_edge():
 
 
 def test_propagation_is_exactly_symmetric():
-    g = random_graph(40, 0.1, seed=0)
-    m = build_propagation(g).matrix
-    diff = (m - m.T).tocoo()
-    assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+    # spmm pulls its gradient P.T @ g as P @ g: both must be the same bits
+    shifted = generate_pair(SynthSpec(nodes_per_block=40, divergence=0.3, seed=5)).pair
+    isolated = Graph(50, [(0, 1), (1, 2), (3, 4), (10, 30)], np.zeros((50, 1)))
+    rng = np.random.default_rng(6)
+    for g in (random_graph(40, 0.1, seed=0), shifted.source, shifted.target, isolated):
+        m = build_propagation(g).matrix
+        diff = (m - m.T).tocoo()
+        assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+        upstream = rng.normal(size=(g.num_nodes, 9))
+        assert (m @ upstream).tobytes() == (m.T @ upstream).tobytes()
+
+
+@pytest.mark.parametrize(
+    "dense",
+    [[[1.0, 0.5], [0.25, 1.0]], [[1.0, 0.5]], [[1.0, np.nan], [np.nan, 1.0]]],
+    ids=["asymmetric", "not-square", "nan"],
+)
+def test_propagation_matrix_rejects_a_matrix_that_is_not_exactly_symmetric(dense):
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        PropagationMatrix(scipy.sparse.csr_matrix(np.array(dense)))
 
 
 def test_propagation_nnz_counts_diagonal_plus_both_orientations():

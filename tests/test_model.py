@@ -71,7 +71,7 @@ def test_encode_with_tape_shares_weights_across_graphs():
 
     def grad_of(graphs):
         tape = GradTape()
-        nodes = enc.as_nodes(tape)
+        nodes = [tape.parameter(w) for w in enc.arrays()]
         loss = None
         for g, p in graphs:
             v = model.encode(nodes, p, g.features)
@@ -270,7 +270,7 @@ def test_total_loss_weight_zero_is_gradient_inert():
 
     def grads_for(weight, include_adv):
         tape = GradTape()
-        nodes = enc.as_nodes(tape)
+        nodes = [tape.parameter(w) for w in enc.arrays()]
         v = model.encode(nodes, p, g.features)
         loss = model.gcn_loss(v, v, batch, batch)
         if include_adv:
