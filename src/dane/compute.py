@@ -73,15 +73,28 @@ class GradTape:
     """Ordered log of executed operations, replayed in reverse by ``backward``."""
 
     def __init__(self):
-        # (op output, [(input tensor, fn(upstream) -> contribution)])
-        self._records: list[tuple[Tensor2, list]] = []
-        self._parameters: list[Tensor2] = []
+        # (op output, [(input tensor, fn(upstream) -> contribution)]);
+        # both lists are None once the tape is released
+        self._records: list[tuple[Tensor2, list]] | None = []
+        self._parameters: list[Tensor2] | None = []
 
     def parameter(self, data) -> Tensor2:
         """Register a leaf tensor whose gradient ``backward`` will report."""
+        self._check_live()
         node = Tensor2(data, tape=self)
         self._parameters.append(node)
         return node
+
+    def release(self) -> None:
+        """Drop every record and parameter. Each op output refers back to its
+        tape, so without this the arrays the records hold wait for the cyclic
+        collector. A released tape takes no new op or parameter, and
+        ``backward`` on it raises rather than report zero gradients."""
+        self._records = self._parameters = None
+
+    def _check_live(self) -> None:
+        if self._records is None:
+            raise ValueError("tape was released")
 
 
 def _as_tensor(x) -> Tensor2:
@@ -99,6 +112,7 @@ def _make(data, inputs: list[tuple[Tensor2, Callable]]) -> Tensor2:
                 raise ValueError("operands belong to different tapes")
     out = Tensor2(data, tape=tape)
     if tape is not None:
+        tape._check_live()
         tape._records.append((out, [(n, fn) for n, fn in inputs if n.tape is not None]))
     return out
 
@@ -107,8 +121,9 @@ def backward(tape: GradTape, loss: Tensor2) -> dict[Tensor2, np.ndarray]:
     """Gradient of a 1x1 loss with respect to every registered parameter.
 
     Parameters the loss never touched map to zero arrays rather than being
-    skipped, so update code can iterate uniformly.
+    skipped, so update code can iterate uniformly. A released tape raises.
     """
+    tape._check_live()
     if (
         not isinstance(loss, Tensor2)
         or loss.tape is not tape

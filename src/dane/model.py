@@ -126,20 +126,20 @@ class DiscriminatorParams:
         self.biases = [np.ascontiguousarray(a, dtype=np.float64) for a in arrays[1::2]]
 
 
-def encode(params, prop: PropagationMatrix, features) -> Tensor2:
+def encode(params, prop: PropagationMatrix, features, *, propagated: bool = False) -> Tensor2:
     """Run the convolution stack over one graph.
 
     ``params`` is either :class:`EncoderParams` or its ``arrays()`` as tape
     parameters when gradients are wanted. Hidden layers apply relu; the
     final layer is linear so the output space is not boxed into one orthant.
+    With ``propagated``, ``features`` is already P·X, the first layer's
+    propagation, which no weight changes, so training computes it once per
+    graph.
     """
     weights = params.weights if isinstance(params, EncoderParams) else list(params)
-    h = features if isinstance(features, Tensor2) else Tensor2(features)
-    last = len(weights) - 1
-    for i, w in enumerate(weights):
-        h = compute.matmul(compute.spmm(prop, h), w)
-        if i < last:
-            h = compute.relu(h)
+    h = compute.matmul(features if propagated else compute.spmm(prop, features), weights[0])
+    for w in weights[1:]:
+        h = compute.matmul(compute.spmm(prop, compute.relu(h)), w)
     return h
 
 
@@ -366,6 +366,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise DaneError(f"{path}: checkpoint adv_weight {adv_weight!r} is not a number")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise DaneError(f"{path}: checkpoint seed {seed!r} is not an integer")
+    if seed < 0:
+        raise DaneError(f"{path}: checkpoint seed {seed} is negative")
     extra = doc.get("extra", {})
     if not isinstance(extra, dict):
         raise DaneError(f"{path}: checkpoint 'extra' is not a JSON object")

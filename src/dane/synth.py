@@ -36,6 +36,8 @@ class SynthSpec:
     def __post_init__(self):
         # each message names the fields its rule reads: the CLI names the
         # config key or flag that set them from it
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.num_blocks < 2:
             raise ValueError("num_blocks must be at least 2 for labels to mean anything")
         if self.nodes_per_block < 1:

@@ -257,8 +257,10 @@ def test_generate_rejects_empty_blocks_naming_the_field(tmp_path, capsys):
         ("train", {"embedding_dim": 6, "encoder_lr": 0}, ["encoder_lr"], "encoder_lr must be finite"),
         ("generate", {"p_in": 0.01, "p_out": 0.02}, ["p_in", "p_out"], "need 0 <= p_out < p_in <= 1"),
         ("generate", {"num_blocks": 1}, ["num_blocks"], "num_blocks must be at least 2"),
+        ("train", {"seed": -1}, ["seed"], "seed must be non-negative"),
+        ("generate", {"seed": -1}, ["seed"], "seed must be non-negative"),
     ],
-    ids=["epochs", "encoder_lr", "p_in-p_out", "num_blocks"],
+    ids=["epochs", "encoder_lr", "p_in-p_out", "num_blocks", "train-seed", "generate-seed"],
 )
 def test_out_of_range_config_value_names_its_file_and_keys(tmp_path, capsys, command, values, keys, rule):
     out = tmp_path / "out"
@@ -653,11 +655,12 @@ def _pop(key, index):
          "discriminator: one bias row per weight matrix"),
         (lambda doc: doc.update(adv_weight="high"), "adv_weight 'high' is not a number"),
         (lambda doc: doc.update(seed=1.5), "seed 1.5 is not an integer"),
+        (lambda doc: doc.update(seed=-1), "seed -1 is negative"),
     ],
     ids=[
         "format-version", "encoder-dims", "non-numeric-weight", "ragged-weights",
         "discriminator-input-width", "discriminator-layers", "discriminator-bias",
-        "discriminator-bias-count", "adv-weight", "seed",
+        "discriminator-bias-count", "adv-weight", "seed", "negative-seed",
     ],
 )
 def test_eval_names_the_inconsistent_checkpoint(tmp_path, capsys, mutate, message):

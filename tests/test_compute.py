@@ -490,6 +490,26 @@ def test_constants_are_not_recorded():
     assert len(tape._records) == before  # backward itself records nothing
 
 
+def test_a_released_tape_records_nothing_and_refuses_backward():
+    tape = GradTape()
+    w = tape.parameter(np.ones((2, 2)))
+    loss = total(compute.relu(w))
+    tape.release()
+    assert tape._records is None and tape._parameters is None
+    # never zero gradients for a loss whose records are gone
+    with pytest.raises(ValueError, match="released"):
+        backward(tape, loss)
+    with pytest.raises(ValueError, match="released"):
+        compute.relu(w)
+    with pytest.raises(ValueError, match="released"):
+        tape.parameter(np.ones((1, 1)))
+    # constants and other tapes are unaffected
+    assert compute.relu(Tensor2(np.ones((1, 1)))).tape is None
+    other = GradTape()
+    x = other.parameter(np.ones((1, 1)))
+    assert backward(other, total(x))[x][0, 0] == 1.0
+
+
 def test_backward_is_deterministic():
     def run():
         rng = np.random.default_rng(10)

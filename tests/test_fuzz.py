@@ -1,9 +1,10 @@
 """Corrupted inputs end in exit 0 or 2: never in exit 3 (divergence) and
 never in an exception out of ``main``.
 
-Hypothesis mutates a trained checkpoint's JSON and the six data files of a
-generated 30-node pair, then runs the CLI in process. The search is
-derandomized, so every run of the suite tries the same 40 inputs per test.
+Hypothesis mutates a trained checkpoint's JSON, the six data files of a
+generated 30-node pair and a training config, then runs the CLI in
+process. The search is derandomized, so every run of the suite tries the
+same 40 inputs per test.
 """
 
 import json
@@ -26,6 +27,17 @@ JSON_VALUES = [
     [[]], [[1.0]], [[0.5, -0.5], [1.0]], {"x": 1},
 ]
 FIELD_VALUES = ["-1", "nan", "999", "x", ""]
+# every training key, each in range and small
+TRAIN_CONFIG = dict(
+    seed=3, embedding_dim=6, num_layers=2, negative_samples=2, adv_weight=1.0, disc_steps=1,
+    epochs=1, encoder_lr=1e-3, disc_lr=1e-3, edge_batch_size=16, disc_hidden_layers=1,
+)
+# wrong types and out-of-range values; an in-range extreme such as a
+# learning rate of 1e308 may rightly diverge (exit 3), so none is drawn
+CONFIG_VALUES = [
+    None, True, False, -1, 0, 2.5, -1e308, float("nan"), float("inf"), "x", "", "1", [], {},
+    [1], {"x": 1},
+]
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +139,20 @@ def test_corrupted_data_files_are_bad_input_or_usable(trained, changes, command)
         else:
             code = _eval(data, checkpoint, Path(tmp) / "evaluation")
         assert code in (0, 2)
+
+
+@FUZZ
+@given(key=st.sampled_from(sorted(TRAIN_CONFIG)), delete=st.booleans(),
+       value=st.sampled_from(CONFIG_VALUES))
+def test_a_corrupted_training_config_is_bad_input_or_usable(trained, key, delete, value):
+    data_dir = trained[0]
+    config = dict(TRAIN_CONFIG)
+    if delete:
+        del config[key]
+    else:
+        config[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "train.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(path), "--data", str(data_dir),
+                     "--out", str(Path(tmp) / "run")]) in (0, 2)

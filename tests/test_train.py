@@ -1,10 +1,13 @@
 import csv
+import gc
+import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from dane import model, train
+from dane import compute, model, train
 from dane.compute import Tensor2
 from dane.errors import NonFiniteLoss, NonFiniteValue, ShapeMismatch
 from dane.graph import Graph, GraphPair, NegativeSampler
@@ -164,17 +167,18 @@ def test_encoder_round_treats_discriminator_as_constant():
     enc_before = [w.copy() for w in enc.weights]
     b_src = model.sample_edge_batch(pair.source.edges, state.sampler_src, 2)
     b_tgt = model.sample_edge_batch(pair.target.edges, state.sampler_tgt, 2)
-    train.encoder_round(pair, enc, disc, cfg, state, b_src, b_tgt)
+    fwd = train.encoder_forward(enc, state)
+    train.encoder_round(fwd, enc, disc, cfg, state, b_src, b_tgt)
     assert [a.tobytes() for a in disc.arrays()] == disc_bytes
     assert any(w.tobytes() != b.tobytes() for w, b in zip(enc.weights, enc_before))
 
 
 def test_each_layer_and_each_least_squares_loss_is_one_tape_op(monkeypatch):
     # Discriminator round: per graph affine, relu, affine, then one loss: 7.
-    # Encoder round: per graph matmul, relu, spmm, matmul (the first spmm
-    # reads constant features and is not recorded), a gather and a score
-    # for the edge loss, affine, relu, affine; then the structural add, the
-    # adversarial loss, and the weighting's scale and add: 22.
+    # Encoder forward and round, on one tape: per graph matmul (of the
+    # cached P·X, which is not recorded), relu, spmm, matmul, a gather and a
+    # score for the edge loss, affine, relu, affine; then the structural add,
+    # the adversarial loss, and the weighting's scale and add: 22.
     tapes = []
 
     class CountedTape(train.GradTape):
@@ -190,7 +194,7 @@ def test_each_layer_and_each_least_squares_loss_is_one_tape_op(monkeypatch):
     train.discriminator_round(v_src, v_tgt, disc, cfg, state)
     b_src = model.sample_edge_batch(pair.source.edges, state.sampler_src, 2)
     b_tgt = model.sample_edge_batch(pair.target.edges, state.sampler_tgt, 2)
-    train.encoder_round(pair, enc, disc, cfg, state, b_src, b_tgt)
+    train.encoder_round(train.encoder_forward(enc, state), enc, disc, cfg, state, b_src, b_tgt)
     assert [len(t._records) for t in tapes] == [7, 22]
 
 
@@ -331,9 +335,9 @@ def test_minibatch_fit_draws_only_training_negatives_from_training_streams(monke
     cfg = quick_config(epochs=3, edge_batch_size=7)
     batches = []
 
-    def recording_round(pair, enc, disc, cfg, state, batch_src, batch_tgt):
+    def recording_round(fwd, enc, disc, cfg, state, batch_src, batch_tgt):
         batches.append((batch_src.negatives.ravel(), batch_tgt.negatives.ravel()))
-        return encoder_round(pair, enc, disc, cfg, state, batch_src, batch_tgt)
+        return encoder_round(fwd, enc, disc, cfg, state, batch_src, batch_tgt)
 
     encoder_round = train.encoder_round
     monkeypatch.setattr(train, "encoder_round", recording_round)
@@ -345,6 +349,84 @@ def test_minibatch_fit_draws_only_training_negatives_from_training_streams(monke
         drawn = np.concatenate([b[side] for b in batches])
         replay = NegativeSampler(g.degrees, seed).sample(drawn.size)
         np.testing.assert_array_equal(drawn, replay)
+
+
+def _minibatch_steps(pair, cfg) -> int:
+    per_epoch = max(-(-len(g.edges) // cfg.edge_batch_size) for g in (pair.source, pair.target))
+    return cfg.epochs * per_epoch
+
+
+def test_fit_encodes_each_encoder_state_once(monkeypatch):
+    pair = small_pair()
+    cfg = quick_config(epochs=3, edge_batch_size=7, num_layers=3)
+    calls = []
+    spmm = compute.spmm
+
+    def counted(prop, h):
+        calls.append(prop)
+        return spmm(prop, h)
+
+    monkeypatch.setattr(compute, "spmm", counted)
+    fit(pair, cfg)
+    steps = _minibatch_steps(pair, cfg)
+    assert steps > cfg.epochs
+    # P·X once per graph; then per forward, one per graph for each later
+    # layer; one forward before the first step and one after each update
+    assert len(calls) == 2 + 2 * (cfg.num_layers - 1) * (steps + 1)
+
+
+def test_each_used_encoder_tape_is_released_once_the_next_forward_exists(monkeypatch):
+    # With the cyclic collector off, an encoder tape's arrays are freed only
+    # when it is released. The final embeddings also feed the discriminator
+    # rounds, whose tapes wait for the collector, so the arrays tracked are
+    # the first forward's other outputs, which only its tape holds.
+    pair = small_pair()
+    cfg = quick_config(epochs=2, edge_batch_size=7)
+    tapes, first = [], []
+    encoder_forward = train.encoder_forward
+
+    def tracked(enc, state):
+        fwd = encoder_forward(enc, state)
+        tapes.append(fwd.tape)
+        if not first:
+            first.extend(
+                weakref.ref(out.data) for out, _ in fwd.tape._records
+                if out is not fwd.v_src and out is not fwd.v_tgt
+            )
+        return fwd
+
+    monkeypatch.setattr(train, "encoder_forward", tracked)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fit(pair, cfg)
+        assert len(tapes) == _minibatch_steps(pair, cfg) + 1
+        assert all(t._records is None for t in tapes[:-1])
+        assert len(tapes[-1]._records) == 8  # the last forward, never used
+        assert len(first) == 6 and all(ref() is None for ref in first)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _fit_digest(result) -> str:
+    h = hashlib.sha256()
+    h.update(result.embeddings_src.tobytes())
+    h.update(result.embeddings_tgt.tobytes())
+    for r in result.log.records:
+        h.update((",".join(repr(getattr(r, c)) for c in TrainLog.COLUMNS) + "\n").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("overrides, digest", [
+    (dict(epochs=4), "e342e759c2fb9fdf83a50660f5235282fa4759bdc3f2c1c4ee0268bd570e61b9"),
+    (dict(epochs=3, edge_batch_size=7, disc_steps=2, num_layers=3),
+     "fb634a304b495f9309d29328bbeaa555cbe192ba79c54a6a9b9028080d5528a9"),
+])
+def test_fit_output_is_pinned(overrides, digest):
+    # both embeddings and every log row, bit for bit: a change that claims no
+    # behaviour change keeps these; one that alters numbers re-records them
+    assert _fit_digest(fit(small_pair(), quick_config(**overrides))) == digest
 
 
 def test_fit_rejects_non_finite_features_as_bad_input(tmp_path):
