@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -100,9 +101,18 @@ def _load_config(path) -> dict:
         if not any(_fits(value, kind) for kind in kinds):
             names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
             raise DaneError(f"{path}: config key {key!r} must be {names}, got {value!r}")
-        if isinstance(value, float) and not np.isfinite(value):
+        if float in kinds and _fits(value, float) and not _finite(value):
             raise DaneError(f"{path}: config key {key!r} must be finite, got {value!r}")
     return doc
+
+
+def _finite(number) -> bool:
+    """Whether a JSON number is a finite float; an int too large for a
+    float is not."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
 
 
 def _fits(value, kind: type) -> bool:

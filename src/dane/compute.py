@@ -6,11 +6,14 @@ reject NaN/Inf at the boundary, and, when an input is on a tape, append an
 is on a tape exactly when its ``tape`` is set. ``backward`` replays the
 records in reverse, summing contributions when a node feeds several
 consumers, so weights shared across branches (or across two graphs)
-accumulate one combined gradient.
+accumulate one combined gradient. A tensor refers to its tape weakly, so
+a tape, with every array only it holds, is freed as soon as its owner lets
+go of it; a tensor whose tape is gone reads as a constant.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -32,7 +35,7 @@ if TYPE_CHECKING:
 class Tensor2:
     """A 2-D float64 value, optionally attached to a :class:`GradTape`."""
 
-    __slots__ = ("data", "tape")
+    __slots__ = ("data", "_tape")
 
     def __init__(self, data, tape: "GradTape | None" = None):
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -41,7 +44,12 @@ class Tensor2:
         if arr.size and not np.isfinite(arr).all():
             raise NonFiniteValue("tensor contains NaN or Inf")
         self.data = arr
-        self.tape = tape
+        self._tape = None if tape is None else weakref.ref(tape)
+
+    @property
+    def tape(self) -> "GradTape | None":
+        """The live tape this tensor is on, or None."""
+        return None if self._tape is None else self._tape()
 
     @property
     def requires_grad(self) -> bool:
@@ -73,28 +81,15 @@ class GradTape:
     """Ordered log of executed operations, replayed in reverse by ``backward``."""
 
     def __init__(self):
-        # (op output, [(input tensor, fn(upstream) -> contribution)]);
-        # both lists are None once the tape is released
-        self._records: list[tuple[Tensor2, list]] | None = []
-        self._parameters: list[Tensor2] | None = []
+        # (op output, [(input tensor, fn(upstream) -> contribution)])
+        self._records: list[tuple[Tensor2, list]] = []
+        self._parameters: list[Tensor2] = []
 
     def parameter(self, data) -> Tensor2:
         """Register a leaf tensor whose gradient ``backward`` will report."""
-        self._check_live()
         node = Tensor2(data, tape=self)
         self._parameters.append(node)
         return node
-
-    def release(self) -> None:
-        """Drop every record and parameter. Each op output refers back to its
-        tape, so without this the arrays the records hold wait for the cyclic
-        collector. A released tape takes no new op or parameter, and
-        ``backward`` on it raises rather than report zero gradients."""
-        self._records = self._parameters = None
-
-    def _check_live(self) -> None:
-        if self._records is None:
-            raise ValueError("tape was released")
 
 
 def _as_tensor(x) -> Tensor2:
@@ -112,7 +107,6 @@ def _make(data, inputs: list[tuple[Tensor2, Callable]]) -> Tensor2:
                 raise ValueError("operands belong to different tapes")
     out = Tensor2(data, tape=tape)
     if tape is not None:
-        tape._check_live()
         tape._records.append((out, [(n, fn) for n, fn in inputs if n.tape is not None]))
     return out
 
@@ -121,9 +115,8 @@ def backward(tape: GradTape, loss: Tensor2) -> dict[Tensor2, np.ndarray]:
     """Gradient of a 1x1 loss with respect to every registered parameter.
 
     Parameters the loss never touched map to zero arrays rather than being
-    skipped, so update code can iterate uniformly. A released tape raises.
+    skipped, so update code can iterate uniformly.
     """
-    tape._check_live()
     if (
         not isinstance(loss, Tensor2)
         or loss.tape is not tape

@@ -130,6 +130,13 @@ def test_optimizer_key_is_unknown(tmp_path, capsys):
         ("generate", "divergence", math.nan),
         ("generate", "noise_sigma", math.nan),
         ("generate", "center_scale", math.inf),
+        ("eval", "classifier_l2", math.nan),
+        # an int too large for a float, given for a float-typed key
+        pytest.param("train", "adv_weight", 10**400, id="train-adv_weight-1e400"),
+        pytest.param("train", "encoder_lr", 10**400, id="train-encoder_lr-1e400"),
+        pytest.param("train", "disc_lr", -(10**400), id="train-disc_lr--1e400"),
+        pytest.param("generate", "noise_sigma", 10**400, id="generate-noise_sigma-1e400"),
+        pytest.param("eval", "classifier_l2", 10**400, id="eval-classifier_l2-1e400"),
     ],
 )
 def test_non_finite_config_value_is_bad_input_not_divergence(
@@ -141,6 +148,11 @@ def test_non_finite_config_value_is_bad_input_not_divergence(
         data = generate_tiny(tmp_path)
         config = tiny_train_config(tmp_path, **{key: value})
         argv = ["train", "--config", config, "--data", str(data), "--out", str(out)]
+    elif command == "eval":
+        data, run = trained_tiny(tmp_path)
+        config = write_config(tmp_path / "eval.json", **{key: value})
+        argv = ["eval", "--config", config, "--data", str(data),
+                "--checkpoint", str(run / "checkpoint.json"), "--out", str(out)]
     else:
         config = tiny_data_config(tmp_path, **{key: value})
         argv = ["generate", "--config", config, "--out", str(out)]

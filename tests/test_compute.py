@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -490,24 +493,32 @@ def test_constants_are_not_recorded():
     assert len(tape._records) == before  # backward itself records nothing
 
 
-def test_a_released_tape_records_nothing_and_refuses_backward():
-    tape = GradTape()
-    w = tape.parameter(np.ones((2, 2)))
-    loss = total(compute.relu(w))
-    tape.release()
-    assert tape._records is None and tape._parameters is None
-    # never zero gradients for a loss whose records are gone
-    with pytest.raises(ValueError, match="released"):
-        backward(tape, loss)
-    with pytest.raises(ValueError, match="released"):
-        compute.relu(w)
-    with pytest.raises(ValueError, match="released"):
-        tape.parameter(np.ones((1, 1)))
-    # constants and other tapes are unaffected
-    assert compute.relu(Tensor2(np.ones((1, 1)))).tape is None
-    other = GradTape()
-    x = other.parameter(np.ones((1, 1)))
-    assert backward(other, total(x))[x][0, 0] == 1.0
+def test_a_dropped_tape_is_freed_at_once_and_its_tensors_read_as_constants():
+    # op outputs refer to their tape weakly, so no cycle keeps a tape alive:
+    # with the cyclic collector off, it goes, with every array only it
+    # holds, as soon as its owner lets go
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        other = GradTape()
+        x = other.parameter(np.ones((1, 1)))
+        tape = GradTape()
+        w = tape.parameter(np.ones((2, 2)))
+        hidden = compute.relu(w)
+        loss = total(hidden)
+        tape_ref, hidden_ref = weakref.ref(tape), weakref.ref(hidden.data)
+        del tape, hidden
+        assert tape_ref() is None and hidden_ref() is None
+        assert loss.tape is None and w.tape is None
+        # a kept tensor is a constant: no gradient can come from it
+        with pytest.raises(DisconnectedLoss):
+            backward(other, loss)
+        assert compute.relu(w).tape is None
+        # other tapes are unaffected
+        assert backward(other, total(x))[x][0, 0] == 1.0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_backward_is_deterministic():

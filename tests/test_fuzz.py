@@ -36,7 +36,7 @@ TRAIN_CONFIG = dict(
 # learning rate of 1e308 may rightly diverge (exit 3), so none is drawn
 CONFIG_VALUES = [
     None, True, False, -1, 0, 2.5, -1e308, float("nan"), float("inf"), "x", "", "1", [], {},
-    [1], {"x": 1},
+    [1], {"x": 1}, 10**400,
 ]
 
 

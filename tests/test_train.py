@@ -375,35 +375,46 @@ def test_fit_encodes_each_encoder_state_once(monkeypatch):
     assert len(calls) == 2 + 2 * (cfg.num_layers - 1) * (steps + 1)
 
 
-def test_each_used_encoder_tape_is_released_once_the_next_forward_exists(monkeypatch):
-    # With the cyclic collector off, an encoder tape's arrays are freed only
-    # when it is released. The final embeddings also feed the discriminator
-    # rounds, whose tapes wait for the collector, so the arrays tracked are
-    # the first forward's other outputs, which only its tape holds.
+def test_no_tape_outlives_its_step(monkeypatch):
+    # With the cyclic collector off, reference counting alone frees every
+    # tape, encoder and discriminator alike, once its step is done. Only
+    # weakrefs are held here: at each epoch's end the one live tape is the
+    # forward the next step will use, the first forward's outputs, its
+    # embeddings too, are gone, and after the fit no tape is left.
     pair = small_pair()
     cfg = quick_config(epochs=2, edge_batch_size=7)
-    tapes, first = [], []
+    tapes, forwards, first, epoch_ends = [], [], [], []
+
+    class TrackedTape(train.GradTape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
     encoder_forward = train.encoder_forward
 
     def tracked(enc, state):
         fwd = encoder_forward(enc, state)
-        tapes.append(fwd.tape)
+        forwards.append(weakref.ref(fwd.tape))
         if not first:
-            first.extend(
-                weakref.ref(out.data) for out, _ in fwd.tape._records
-                if out is not fwd.v_src and out is not fwd.v_tgt
-            )
+            first.extend(weakref.ref(out.data) for out, _ in fwd.tape._records)
         return fwd
 
+    def hook(epoch, record, enc, v_src, v_tgt):
+        live = [t() for t in tapes if t() is not None]
+        epoch_ends.append((live == [forwards[-1]()], [ref() is None for ref in first]))
+
+    monkeypatch.setattr(train, "GradTape", TrackedTape)
     monkeypatch.setattr(train, "encoder_forward", tracked)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        fit(pair, cfg)
-        assert len(tapes) == _minibatch_steps(pair, cfg) + 1
-        assert all(t._records is None for t in tapes[:-1])
-        assert len(tapes[-1]._records) == 8  # the last forward, never used
-        assert len(first) == 6 and all(ref() is None for ref in first)
+        fit(pair, cfg, epoch_hook=hook)
+        steps = _minibatch_steps(pair, cfg)
+        assert len(forwards) == steps + 1
+        assert len(tapes) == (steps + 1) + steps * cfg.disc_steps
+        assert len(first) == 8  # both graphs' matmul, relu, spmm and matmul
+        assert epoch_ends == [(True, [True] * 8)] * cfg.epochs
+        assert all(t() is None for t in tapes)
     finally:
         if enabled:
             gc.enable()
