@@ -2,18 +2,19 @@
 
 Every value is a 2-D array; scalars are 1x1. Operations validate shapes,
 reject NaN/Inf at the boundary, and, when an input is on a tape, append an
-``(out, pulls)`` record to that tape and put their output on it. A tensor
-is on a tape exactly when its ``tape`` is set. ``backward`` replays the
-records in reverse, summing contributions when a node feeds several
-consumers, so weights shared across branches (or across two graphs)
-accumulate one combined gradient. A tensor refers to its tape weakly, so
-a tape, with every array only it holds, is freed as soon as its owner lets
-go of it; a tensor whose tape is gone reads as a constant.
+``(out key, pulls)`` record to that tape and put their output on it. A
+tensor is on a tape exactly when its ``tape`` is set; the tape numbers it
+with an integer ``key``. ``backward`` replays the records in reverse,
+summing contributions when a node feeds several consumers, so weights
+shared across branches (or across two graphs) accumulate one combined
+gradient. Records hold keys and pulls over arrays, never a tensor, so a
+tape lives exactly as long as some tensor on it, and an op output that no
+pull reads is freed with its tensor.
 """
 
 from __future__ import annotations
 
-import weakref
+import itertools
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -33,9 +34,9 @@ if TYPE_CHECKING:
 
 
 class Tensor2:
-    """A 2-D float64 value, optionally attached to a :class:`GradTape`."""
+    """A 2-D float64 value, optionally on a :class:`GradTape`."""
 
-    __slots__ = ("data", "_tape")
+    __slots__ = ("data", "tape", "key")
 
     def __init__(self, data, tape: "GradTape | None" = None):
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -44,16 +45,8 @@ class Tensor2:
         if arr.size and not np.isfinite(arr).all():
             raise NonFiniteValue("tensor contains NaN or Inf")
         self.data = arr
-        self._tape = None if tape is None else weakref.ref(tape)
-
-    @property
-    def tape(self) -> "GradTape | None":
-        """The live tape this tensor is on, or None."""
-        return None if self._tape is None else self._tape()
-
-    @property
-    def requires_grad(self) -> bool:
-        return self.tape is not None
+        self.tape = tape
+        self.key = None if tape is None else next(tape._keys)
 
     @property
     def rows(self) -> int:
@@ -73,7 +66,7 @@ class Tensor2:
         return float(self.data[0, 0])
 
     def __repr__(self):
-        grad = ", requires_grad=True" if self.requires_grad else ""
+        grad = "" if self.tape is None else ", on a tape"
         return f"Tensor2(shape={self.data.shape}{grad})"
 
 
@@ -81,14 +74,15 @@ class GradTape:
     """Ordered log of executed operations, replayed in reverse by ``backward``."""
 
     def __init__(self):
-        # (op output, [(input tensor, fn(upstream) -> contribution)])
-        self._records: list[tuple[Tensor2, list]] = []
-        self._parameters: list[Tensor2] = []
+        # (op output key, [(input key, fn(upstream) -> contribution)])
+        self._records: list[tuple[int, list]] = []
+        self._parameters: dict[int, tuple[int, int]] = {}  # key -> shape
+        self._keys = itertools.count()
 
     def parameter(self, data) -> Tensor2:
         """Register a leaf tensor whose gradient ``backward`` will report."""
         node = Tensor2(data, tape=self)
-        self._parameters.append(node)
+        self._parameters[node.key] = node.shape
         return node
 
 
@@ -97,7 +91,7 @@ def _as_tensor(x) -> Tensor2:
 
 
 def _make(data, inputs: list[tuple[Tensor2, Callable]]) -> Tensor2:
-    """Build the op result, recording it when any input tracks gradients."""
+    """Build the op result, recording it when any input is on a tape."""
     tape = None
     for node, _ in inputs:
         if node.tape is not None:
@@ -107,35 +101,33 @@ def _make(data, inputs: list[tuple[Tensor2, Callable]]) -> Tensor2:
                 raise ValueError("operands belong to different tapes")
     out = Tensor2(data, tape=tape)
     if tape is not None:
-        tape._records.append((out, [(n, fn) for n, fn in inputs if n.tape is not None]))
+        tape._records.append((out.key, [(n.key, fn) for n, fn in inputs if n.tape is not None]))
     return out
 
 
-def backward(tape: GradTape, loss: Tensor2) -> dict[Tensor2, np.ndarray]:
-    """Gradient of a 1x1 loss with respect to every registered parameter.
+def backward(loss: Tensor2) -> list[np.ndarray]:
+    """Gradient of a 1x1 loss with respect to every parameter of its tape,
+    in registration order.
 
-    Parameters the loss never touched map to zero arrays rather than being
+    Parameters the loss never touched get zero arrays rather than being
     skipped, so update code can iterate uniformly.
     """
-    if (
-        not isinstance(loss, Tensor2)
-        or loss.tape is not tape
-        or any(loss is p for p in tape._parameters)
-    ):
-        raise DisconnectedLoss("loss was not produced by an operation on this tape")
+    tape = loss.tape if isinstance(loss, Tensor2) else None
+    if tape is None or loss.key in tape._parameters:
+        raise DisconnectedLoss("loss was not produced by an operation on a tape")
     if loss.data.shape != (1, 1):
         raise ShapeMismatch(f"loss must be 1x1, got {loss.data.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+    grads: dict[int, np.ndarray] = {loss.key: np.ones((1, 1))}
     for out, pulls in reversed(tape._records):
-        g = grads.pop(id(out), None)
+        g = grads.pop(out, None)
         if g is None:
             continue
-        for node, pull in pulls:
+        for key, pull in pulls:
             contribution = pull(g)
-            held = grads.get(id(node))
+            held = grads.get(key)
             # never add in place: `held` may alias an upstream gradient
-            grads[id(node)] = contribution if held is None else held + contribution
-    return {p: grads.get(id(p), np.zeros_like(p.data)) for p in tape._parameters}
+            grads[key] = contribution if held is None else held + contribution
+    return [grads.get(key, np.zeros(shape)) for key, shape in tape._parameters.items()]
 
 
 # ---------------------------------------------------------------------------

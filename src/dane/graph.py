@@ -122,10 +122,6 @@ class PropagationMatrix:
         self.matrix = matrix
 
     @property
-    def num_nodes(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def nnz(self) -> int:
         return self.matrix.nnz
 
@@ -175,7 +171,6 @@ class NegativeSampler:
         self._cumulative = cumulative
         self._guide = np.searchsorted(np.floor(cumulative * m), np.arange(m), side="left")
         self._rng = np.random.default_rng(seed)
-        self.seed = seed
 
     def sample(self, count: int) -> np.ndarray:
         if count < 0:
@@ -215,6 +210,8 @@ def load_json(path, what: str):
         raise DaneError(f"{path}:{exc.lineno}: {what} is not valid JSON: {exc.msg}") from None
     except UnicodeDecodeError:
         raise DaneError(f"{path}: {what} is not UTF-8 text") from None
+    except ValueError as exc:  # an integer longer than Python converts
+        raise DaneError(f"{path}: {what} holds a value that cannot be read: {exc}") from None
 
 
 def _data_lines(path):

@@ -15,7 +15,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -205,41 +204,30 @@ def init_models(
     return enc, disc
 
 
-def _on_tape(player) -> tuple[GradTape, list[Tensor2]]:
-    """A fresh tape and ``player``'s ``arrays()`` as its parameters."""
+def _on_tape(player) -> list[Tensor2]:
+    """``player``'s ``arrays()`` as the parameters of a fresh tape."""
     tape = GradTape()
-    return tape, [tape.parameter(a) for a in player.arrays()]
+    return [tape.parameter(a) for a in player.arrays()]
 
 
-def _descend(player, adam: AdamState, rate: float, tape: GradTape, nodes, loss) -> float:
+def _descend(player, adam: AdamState, rate: float, loss: Tensor2) -> float:
     """One Adam step of ``player``, either parameter class, down the 1x1
-    ``loss`` built on ``tape`` from ``nodes``, its arrays as parameters.
-    Returns the pre-update loss."""
-    grads = backward(tape, loss)
-    player.set_arrays(apply_update(player.arrays(), [grads[n] for n in nodes], adam, rate))
+    ``loss`` built from ``_on_tape(player)``. Returns the pre-update loss."""
+    player.set_arrays(apply_update(player.arrays(), backward(loss), adam, rate))
     return loss.item()
 
 
-class EncoderForward(NamedTuple):
-    """Both graphs' embeddings on one tape, whose parameters ``nodes`` are
-    the encoder's arrays."""
-
-    tape: GradTape
-    nodes: list[Tensor2]
-    v_src: Tensor2
-    v_tgt: Tensor2
-
-
-def encoder_forward(enc: EncoderParams, state: TrainState) -> EncoderForward:
+def encoder_forward(enc: EncoderParams, state: TrainState) -> tuple[Tensor2, Tensor2]:
     """The encoder's taped forward pass over both graphs, from the cached
-    P·X. The embeddings' arrays are read-only, since ``fit`` hands them to
-    the discriminator rounds, the snapshot and the hook."""
-    tape, nodes = _on_tape(enc)
+    P·X: ``(v_src, v_tgt)`` on one tape whose parameters are the encoder's
+    arrays. The embeddings' arrays are read-only, since ``fit`` hands them
+    to the discriminator rounds, the snapshot and the hook."""
+    nodes = _on_tape(enc)
     v_src = model.encode(nodes, state.prop_src, state.px_src, propagated=True)
     v_tgt = model.encode(nodes, state.prop_tgt, state.px_tgt, propagated=True)
     v_src.data.setflags(write=False)
     v_tgt.data.setflags(write=False)
-    return EncoderForward(tape, nodes, v_src, v_tgt)
+    return v_src, v_tgt
 
 
 def _objective(v_src, v_tgt, disc, cfg: TrainConfig, batch_src, batch_tgt):
@@ -262,14 +250,14 @@ def discriminator_round(
     """One discriminator update against fixed embeddings. Takes plain
     arrays, not the encoder: there is structurally nothing here a gradient
     could flow back into. Returns the pre-update loss."""
-    tape, nodes = _on_tape(disc)
+    nodes = _on_tape(disc)
     forward = model.discriminator_forward
     loss = model.discriminator_loss(forward(nodes, v_src), forward(nodes, v_tgt))
-    return _descend(disc, state.disc_state, cfg.disc_lr, tape, nodes, loss)
+    return _descend(disc, state.disc_state, cfg.disc_lr, loss)
 
 
 def encoder_round(
-    fwd: EncoderForward,
+    fwd: tuple[Tensor2, Tensor2],
     enc: EncoderParams,
     disc: DiscriminatorParams,
     cfg: TrainConfig,
@@ -277,13 +265,14 @@ def encoder_round(
     batch_src: model.EdgeBatch,
     batch_tgt: model.EdgeBatch,
 ) -> float:
-    """One encoder update down the objective on ``fwd``, the taped forward
-    pass of ``enc``. The discriminator participates as a constant: its
-    weights stay off the tape, so they receive no update and the
-    adversarial gradient lands entirely on the shared encoder weights.
-    Returns the pre-update total loss."""
-    loss = _objective(fwd.v_src, fwd.v_tgt, disc, cfg, batch_src, batch_tgt)[-1]
-    return _descend(enc, state.enc_state, cfg.encoder_lr, fwd.tape, fwd.nodes, loss)
+    """One encoder update down the objective on ``fwd``, the taped
+    ``(v_src, v_tgt)`` of ``enc`` from :func:`encoder_forward`. The
+    discriminator participates as a constant: its weights stay off the
+    tape, so they receive no update and the adversarial gradient lands
+    entirely on the shared encoder weights. Returns the pre-update total
+    loss."""
+    loss = _objective(*fwd, disc, cfg, batch_src, batch_tgt)[-1]
+    return _descend(enc, state.enc_state, cfg.encoder_lr, loss)
 
 
 def evaluate_losses(
@@ -379,7 +368,7 @@ def fit(
             tgt_parts = _edge_slices(pair.target.edges, cfg.edge_batch_size, state.batch_rng)
             for i in range(max(len(src_parts), len(tgt_parts))):
                 for _ in range(cfg.disc_steps):
-                    discriminator_round(fwd.v_src.data, fwd.v_tgt.data, disc, cfg, state)
+                    discriminator_round(fwd[0].data, fwd[1].data, disc, cfg, state)
                 batch_src = model.sample_edge_batch(
                     src_parts[i % len(src_parts)], state.sampler_src, cfg.negative_samples
                 )
@@ -388,7 +377,7 @@ def fit(
                 )
                 encoder_round(fwd, enc, disc, cfg, state, batch_src, batch_tgt)
                 fwd = encoder_forward(enc, state)
-            v_src, v_tgt = fwd.v_src.data, fwd.v_tgt.data
+            v_src, v_tgt = fwd[0].data, fwd[1].data
             record = evaluate_losses(v_src, v_tgt, disc, cfg, snap_src, snap_tgt, epoch)
         except NonFiniteValue as exc:
             if diagnostics_path is not None:
@@ -414,7 +403,7 @@ def fit(
 
     return FitResult(
         encoder=enc, discriminator=disc,
-        embeddings_src=fwd.v_src.data, embeddings_tgt=fwd.v_tgt.data, log=log,
+        embeddings_src=fwd[0].data, embeddings_tgt=fwd[1].data, log=log,
     )
 
 

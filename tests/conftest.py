@@ -54,8 +54,7 @@ def tape_grads(build, arrays):
     tape = GradTape()
     nodes = [tape.parameter(a) for a in arrays]
     loss = build(nodes)
-    grads = backward(tape, loss)
-    return loss.item(), [grads[n] for n in nodes]
+    return loss.item(), backward(loss)
 
 
 def check_gradients(build, arrays, atol=1e-7, rtol=1e-5):

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +215,11 @@ def test_malformed_config_is_rejected(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{bad}: config is not UTF-8 text" in err and "Traceback" not in err
+    # Python converts a JSON integer of at most 4,300 digits
+    bad.write_text('{"noise_sigma": 1' + "0" * 5000 + "}")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: config holds a value that cannot be read" in err and "Traceback" not in err
 
 
 def test_non_object_config_is_rejected(tmp_path, capsys):
@@ -617,13 +626,23 @@ def _eval_error(tmp_path, capsys, data, path):
     return err
 
 
-@pytest.mark.parametrize("binary", [False, True], ids=["truncated-json", "not-utf8"])
-def test_eval_names_the_checkpoint_it_cannot_parse(tmp_path, capsys, binary):
+@pytest.mark.parametrize(
+    "damage", ["truncate", "binary", "long-seed"], ids=["truncated-json", "not-utf8", "long-integer"]
+)
+def test_eval_names_the_checkpoint_it_cannot_parse(tmp_path, capsys, damage):
     data, run = trained_tiny(tmp_path)
     path = run / "checkpoint.json"
-    if binary:
+    if damage == "binary":
         path.write_bytes(b"\xff\xfe{}")
         assert f"{path}: checkpoint is not UTF-8 text" in _eval_error(tmp_path, capsys, data, path)
+        return
+    if damage == "long-seed":
+        # the run seed, the last key, with 5,000 digits
+        head, seed, tail = path.read_text().rpartition('"seed": 2')
+        assert seed and tail.strip() == "}"
+        path.write_text(head + seed + "0" * 5000 + tail)
+        err = _eval_error(tmp_path, capsys, data, path)
+        assert f"{path}: checkpoint holds a value that cannot be read" in err
         return
     text = json.dumps(json.loads(path.read_text()), indent=1)
     path.write_text(text[: len(text) // 2])
@@ -838,3 +857,40 @@ def test_ablate_rejects_zero_lambda(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 2
     capsys.readouterr()
+
+
+# --- real processes --------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize(
+    "command, contents",
+    [
+        ("train", b'{"adv_weight": 1' + b"0" * 5000 + b"}"),
+        ("eval", b'{"seed": 1' + b"0" * 5000 + b"}"),
+        ("train", b'{"epochs": 3, "optimizer": "\xff"}'),
+        ("eval", b'{"format_version": 1, "encoder": {"layer_dims": [4, 6], "wei'),
+    ],
+    ids=["long-integer-config", "long-integer-seed", "not-utf8-config", "truncated-checkpoint"],
+)
+def test_bad_input_ends_a_real_process_with_one_error_line(tmp_path, capsys, command, contents):
+    # `python -m dane.cli` as a user runs it: exit 2, one line naming the
+    # file, and no traceback on stderr
+    data = generate_tiny(tmp_path)
+    capsys.readouterr()
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(contents)
+    out = str(tmp_path / "out")
+    if command == "train":
+        argv = ["train", "--config", str(bad), "--data", str(data), "--out", out]
+    else:
+        argv = ["eval", "--data", str(data), "--checkpoint", str(bad), "--out", out]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dane.cli", *argv],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}"), proc.stderr
