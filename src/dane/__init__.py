@@ -39,7 +39,7 @@ from .model import (
     save_checkpoint,
     total_loss,
 )
-from .synth import SynthSpec, generate_pair, shuffle_node_ids
+from .synth import SynthSpec, generate_pair
 from .train import FitResult, TrainConfig, TrainLog, fit
 
 __version__ = "0.1.0"
@@ -77,7 +77,6 @@ __all__ = [
     "load_labels",
     "project_2d",
     "save_checkpoint",
-    "shuffle_node_ids",
     "total_loss",
     "train_classifier",
     "__version__",

@@ -167,26 +167,43 @@ def _require_dir(path) -> None:
         raise DaneError(f"{path}: not a directory")
 
 
-def _load_pair(data_dir) -> GraphPair:
-    graphs = {}
-    for tag, (edges, features, _) in _DATA_FILES.items():
+def _load_pair(data_dir, training: bool = False) -> GraphPair:
+    """The graph pair of ``data_dir``. Training draws negatives by degree,
+    so for it each graph needs an edge."""
+    loaded = []
+    for edges, features, _ in _DATA_FILES.values():
         edge_path = os.path.join(data_dir, edges)
         feature_path = os.path.join(data_dir, features)
         for p in (edge_path, feature_path):
             if not os.path.isfile(p):
                 raise DaneError(f"{p}: missing data file")
-        graphs[tag] = load_graph(edge_path, feature_path)
-    return GraphPair(graphs["a"], graphs["b"])
+        graph = load_graph(edge_path, feature_path)
+        if training and graph.num_edges == 0:
+            raise DaneError(f"{edge_path}: no edges, so every node has degree zero")
+        loaded.append((graph, feature_path))
+    (a, features_a), (b, features_b) = loaded
+    if a.feature_dim != b.feature_dim:
+        raise DaneError(
+            f"{features_b}: {b.feature_dim} feature columns, but {features_a} has {a.feature_dim}"
+        )
+    return GraphPair(a, b)
 
 
 def _load_pair_labels(data_dir, pair: GraphPair) -> tuple[ev.LabelSet, ev.LabelSet]:
-    mappings = []
+    """Both graphs' labels over one vocabulary. The probe trains on each
+    graph's labels in turn, so single-label files must name two classes."""
+    paths, mappings = [], []
     for tag, graph in (("a", pair.source), ("b", pair.target)):
         path = os.path.join(data_dir, _DATA_FILES[tag][2])
         if not os.path.isfile(path):
             raise DaneError(f"{path}: missing label file")
+        paths.append(path)
         mappings.append(load_labels(path, graph.num_nodes))
-    return ev.align_label_sets(*mappings)
+    label_sets = ev.align_label_sets(*mappings)
+    for path, labels in zip(paths, label_sets):
+        if not labels.multi_label and len(set(labels.assignments.values())) == 1:
+            raise DaneError(f"{path}: training labels collapse to one class")
+    return label_sets
 
 
 def _write_embeddings(path, v: np.ndarray) -> None:
@@ -262,7 +279,7 @@ def _write_training(out_dir, cfg, result) -> None:
 
 def cmd_train(args) -> int:
     _require_dir(args.data)
-    pair = _load_pair(args.data)
+    pair = _load_pair(args.data, training=True)
     cfg = _config_from(TrainConfig, _load_config(args.config), args)
     result = _fit(pair, cfg, args.out)
     _write_training(args.out, cfg, result)
@@ -329,13 +346,6 @@ def cmd_eval(args) -> int:
             f"--seed {args.seed} differs from the run seed {checkpoint.seed} of "
             f"{args.checkpoint}; eval reads its seed from the checkpoint"
         )
-    config = checkpoint.extra.get("config")
-    activation = config.get("hidden_activation", "relu") if isinstance(config, dict) else "relu"
-    if activation != "relu":
-        raise DaneError(
-            f"{args.checkpoint}: encoder activation {activation!r} is not supported; "
-            "only 'relu' is"
-        )
     width = checkpoint.encoder.layer_dims[0]
     if width != pair.source.feature_dim:
         raise DaneError(
@@ -362,7 +372,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     _require_dir(args.data)
-    pair = _load_pair(args.data)
+    pair = _load_pair(args.data, training=True)
     labels_a, labels_b = _load_pair_labels(args.data, pair)
     config = _load_config(args.config)
     cfg = _config_from(TrainConfig, config, args)

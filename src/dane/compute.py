@@ -212,14 +212,23 @@ def gather_rows(a, indices) -> Tensor2:
     return _make(a.data[idx], [(a, pull)])
 
 
+# Cap on the gathered candidate values negative_sampling_loss scores at once:
+# 2^17 float64, 1 MiB, as synth._DRAW_ROWS bounds the edge draw. Each score
+# is one einsum reduction over d in any block, so the scores do not depend
+# on this, while no (E, 1+Q, d) gather is ever formed.
+_SCORE_CELLS = 1 << 17
+
+
 def negative_sampling_loss(anchors, v, candidates) -> Tensor2:
     """Sum over anchor rows a_i of -log sigmoid(a_i . v[c_i0]) plus, for
     each further candidate c_ik, -log sigmoid(-a_i . v[c_ik]).
 
     ``candidates`` is an (E, 1+Q) array of row ids of ``v``, one row per
     anchor: the linked partner first, then Q negatives (Q may be zero).
-    The forward pass scores the (E, 1+Q) matrix and sums a softplus that
-    never overflows (a score of -1000 on a partner costs exactly 1000).
+    The forward pass scores the (E, 1+Q) matrix in blocks of anchor rows
+    whose gathered candidate rows hold at most ``_SCORE_CELLS`` values, so
+    no E x (1+Q) x d array exists, and sums a softplus that never overflows
+    (a score of -1000 on a partner costs exactly 1000).
     Only E x (1+Q) values reach the tape: the sparse E x n matrix S of
     d loss / d score at (i, c_ik). Under upstream g the two pulls are
     ``(g S) @ v`` for the anchors and ``(g S).T @ anchors`` for ``v``.
@@ -235,8 +244,12 @@ def negative_sampling_loss(anchors, v, candidates) -> Tensor2:
     if cand.min() < 0 or cand.max() >= v.rows:
         raise IndexOutOfRange(f"candidate id outside [0, {v.rows})")
     a, vd = anchors.data, v.data
+    k = cand.shape[1]
     # softplus argument: minus the partner's score, plus each negative's
-    arg = np.einsum("ed,ekd->ek", a, vd[cand])
+    arg = np.empty((e, k))
+    rows = max(1, _SCORE_CELLS // max(1, k * d))  # d may be 0
+    for i in range(0, e, rows):
+        np.einsum("ed,ekd->ek", a[i : i + rows], vd[cand[i : i + rows]], out=arg[i : i + rows])
     arg[:, 0] *= -1.0
     out = np.array([[_softplus(arg).sum()]])
     if anchors.tape is None and v.tape is None:
@@ -244,7 +257,6 @@ def negative_sampling_loss(anchors, v, candidates) -> Tensor2:
     # d loss / d score; rows of S are already sorted by anchor
     dscore = expit(arg)
     dscore[:, 0] *= -1.0
-    k = cand.shape[1]
     s = sparse.csr_matrix(
         (dscore.ravel(), cand.ravel(), np.arange(0, e * k + 1, k)), shape=(e, v.rows)
     )

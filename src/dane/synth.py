@@ -141,26 +141,3 @@ def generate_pair(spec: SynthSpec) -> SynthPair:
 
     labels = _labels(spec)
     return SynthPair(GraphPair(src, tgt), labels, labels, spec)
-
-
-class ShuffleResult(NamedTuple):
-    graph: Graph
-    labels: LabelSet
-    permutation: np.ndarray  # permutation[old_id] = new_id
-
-
-def shuffle_node_ids(g: Graph, labels: LabelSet, seed: int) -> ShuffleResult:
-    """Relabel nodes by a random permutation, keeping edges, features, and
-    labels consistent. Applying the inverse permutation restores the
-    original graph bit for bit, which makes this the cheap way to check
-    that nothing downstream depends on node order."""
-    perm = np.random.default_rng(seed).permutation(g.num_nodes)
-    features = np.empty_like(g.features)
-    features[perm] = g.features
-    relabeled = Graph(g.num_nodes, perm[g.edges], features)
-    new_labels = LabelSet(
-        labels.classes,
-        {int(perm[node]): idx for node, idx in labels.assignments.items()},
-        labels.multi_label,
-    )
-    return ShuffleResult(relabeled, new_labels, perm)

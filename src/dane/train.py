@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -145,15 +144,13 @@ class EpochRecord:
     l_total: float
     mean_score_src: float
     mean_score_tgt: float
-    seconds: float = 0.0  # wall-clock diagnostic set by fit; never serialized,
-    # so logs of identical runs stay byte-identical
 
 
 class TrainLog:
     """Per-epoch loss history with a fixed CSV schema: the
-    :class:`EpochRecord` fields but ``seconds``, in declaration order."""
+    :class:`EpochRecord` fields in declaration order."""
 
-    COLUMNS = tuple(f.name for f in fields(EpochRecord) if f.name != "seconds")
+    COLUMNS = tuple(f.name for f in fields(EpochRecord))
 
     def __init__(self):
         self.records: list[EpochRecord] = []
@@ -362,7 +359,6 @@ def fit(
     fwd = encoder_forward(enc, state)
 
     for epoch in range(cfg.epochs):
-        started = time.perf_counter()
         try:
             src_parts = _edge_slices(pair.source.edges, cfg.edge_batch_size, state.batch_rng)
             tgt_parts = _edge_slices(pair.target.edges, cfg.edge_batch_size, state.batch_rng)
@@ -390,7 +386,6 @@ def fit(
                 logger.error("diverged at epoch %d; dumped %s", epoch, diagnostics_path)
             raise NonFiniteLoss(epoch, f"{exc} (epoch {epoch})") from exc
 
-        record.seconds = time.perf_counter() - started
         log.append(record)
         last_good = (enc.copy(), disc.copy(), epoch)
         if epoch_hook is not None:

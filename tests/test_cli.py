@@ -586,15 +586,45 @@ def test_eval_rejects_label_outside_its_graph(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _first_line_only(path):
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
+def _drop_last_column(path):
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in path.read_text().splitlines()))
+
+
+@pytest.mark.parametrize(
+    "command, name, damage, message",
+    [
+        ("train", "edges_a.tsv", lambda p: p.write_text(""), "every node has degree zero"),
+        ("eval", "labels_b.tsv", _first_line_only, "training labels collapse to one class"),
+        ("train", "features_b.csv", _drop_last_column, "3 feature columns, but"),
+    ],
+    ids=["empty-edges", "one-label-line", "short-feature-rows"],
+)
+def test_unusable_data_file_is_named(tmp_path, capsys, command, name, damage, message):
+    data, run = trained_tiny(tmp_path)
+    damage(data / name)
+    out = ["--out", str(tmp_path / "again")]
+    if command == "train":
+        code = main(["train", "--config", tiny_train_config(tmp_path), "--data", str(data), *out])
+    else:
+        code = main(["eval", "--data", str(data), "--checkpoint", str(run / "checkpoint.json"), *out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{data / name}: " in err and message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
         ("encoder.weights", None, "checkpoint has no 'encoder.weights'"),
         ("seed", None, "checkpoint has no 'seed'"),
-        ("extra.config.hidden_activation", "sigmoid", "activation 'sigmoid'"),
         ("extra", [], "'extra' is not a JSON object"),
     ],
-    ids=["no-encoder-weights", "no-seed", "sigmoid-activation", "extra-not-object"],
+    ids=["no-encoder-weights", "no-seed", "extra-not-object"],
 )
 def test_eval_rejects_unusable_checkpoint(tmp_path, capsys, key, value, message):
     data, run = trained_tiny(tmp_path)

