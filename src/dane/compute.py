@@ -187,9 +187,16 @@ def relu(a) -> Tensor2:
     return _make(np.maximum(ad, 0.0), [(a, lambda g: g * (ad > 0.0))])
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    # max(z, 0) + log1p(exp(-|z|)): exact for large |z|, no overflow
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+def _softplus(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # max(z, 0) + log1p(exp(-|z|)): exact for large |z|, no overflow. The
+    # same ufuncs in the same order with one temporary; out=z overwrites z.
+    t = np.abs(z)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    out = np.maximum(z, 0.0, out=out)
+    out += t
+    return out
 
 
 def gather_rows(a, indices) -> Tensor2:
@@ -213,10 +220,12 @@ def gather_rows(a, indices) -> Tensor2:
 
 
 # Cap on the gathered candidate values negative_sampling_loss scores at once:
-# 2^17 float64, 1 MiB, as synth._DRAW_ROWS bounds the edge draw. Each score
-# is one einsum reduction over d in any block, so the scores do not depend
-# on this, while no (E, 1+Q, d) gather is ever formed.
-_SCORE_CELLS = 1 << 17
+# 2^14 float64, 128 KiB (85 anchor rows at Q=5, d=32). That fits in L2, and
+# it is no larger than glibc's default trim threshold, so freeing a block
+# does not by itself hand pages back to the kernel for the next call to
+# fault in again. Each score is one einsum reduction over d in any block, so
+# the scores do not depend on this, while no (E, 1+Q, d) gather is formed.
+_SCORE_CELLS = 1 << 14
 
 
 def negative_sampling_loss(anchors, v, candidates) -> Tensor2:
@@ -225,13 +234,15 @@ def negative_sampling_loss(anchors, v, candidates) -> Tensor2:
 
     ``candidates`` is an (E, 1+Q) array of row ids of ``v``, one row per
     anchor: the linked partner first, then Q negatives (Q may be zero).
-    The forward pass scores the (E, 1+Q) matrix in blocks of anchor rows
-    whose gathered candidate rows hold at most ``_SCORE_CELLS`` values, so
-    no E x (1+Q) x d array exists, and sums a softplus that never overflows
-    (a score of -1000 on a partner costs exactly 1000).
+    The forward pass scores the (E, 1+Q) matrix in blocks of anchor rows,
+    gathering each block's candidate rows into one buffer of at most
+    ``_SCORE_CELLS`` values, so no scratch array is larger than that or
+    than one E x (1+Q) array. It sums a softplus, taken in place, that never
+    overflows (a score of -1000 on a partner costs exactly 1000).
     Only E x (1+Q) values reach the tape: the sparse E x n matrix S of
     d loss / d score at (i, c_ik). Under upstream g the two pulls are
-    ``(g S) @ v`` for the anchors and ``(g S).T @ anchors`` for ``v``.
+    ``(g S) @ v`` for the anchors and ``(g S).T @ anchors`` for ``v``; S
+    itself serves when g is exactly 1, as it is in training.
     """
     anchors, v = _as_tensor(anchors), _as_tensor(v)
     cand = np.asarray(candidates, dtype=np.int64)
@@ -247,22 +258,30 @@ def negative_sampling_loss(anchors, v, candidates) -> Tensor2:
     k = cand.shape[1]
     # softplus argument: minus the partner's score, plus each negative's
     arg = np.empty((e, k))
-    rows = max(1, _SCORE_CELLS // max(1, k * d))  # d may be 0
+    rows = min(e, max(1, _SCORE_CELLS // max(1, k * d)))  # d may be 0
+    block = np.empty((rows, k, d))
     for i in range(0, e, rows):
-        np.einsum("ed,ekd->ek", a[i : i + rows], vd[cand[i : i + rows]], out=arg[i : i + rows])
+        j = min(i + rows, e)
+        # ids are checked above; mode="raise" would buffer into a new array
+        vd.take(cand[i:j], axis=0, out=block[: j - i], mode="clip")
+        np.einsum("ed,ekd->ek", a[i:j], block[: j - i], out=arg[i:j])
     arg[:, 0] *= -1.0
-    out = np.array([[_softplus(arg).sum()]])
-    if anchors.tape is None and v.tape is None:
+    taped = anchors.tape is not None or v.tape is not None
+    # d loss / d score, read before the softplus overwrites arg
+    dscore = expit(arg) if taped else None
+    out = np.array([[_softplus(arg, out=arg).sum()]])
+    if not taped:
         return Tensor2(out)
-    # d loss / d score; rows of S are already sorted by anchor
-    dscore = expit(arg)
     dscore[:, 0] *= -1.0
+    # rows of S are already sorted by anchor
     s = sparse.csr_matrix(
         (dscore.ravel(), cand.ravel(), np.arange(0, e * k + 1, k)), shape=(e, v.rows)
     )
-    return _make(
-        out, [(anchors, lambda g: (g[0, 0] * s) @ vd), (v, lambda g: (g[0, 0] * s).T @ a)]
-    )
+
+    def scaled(g):
+        return s if g[0, 0] == 1.0 else g[0, 0] * s
+
+    return _make(out, [(anchors, lambda g: scaled(g) @ vd), (v, lambda g: scaled(g).T @ a)])
 
 
 def least_squares(a, b, target_a: float, target_b: float) -> Tensor2:

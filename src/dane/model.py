@@ -148,10 +148,12 @@ class EdgeBatch:
 
     ``pairs`` is (E, 2); column 0 is the anchor whose dot products are
     scored, against its linked partner and against ``negatives`` (E, Q)
-    sampled nodes. Q may be zero.
+    sampled nodes. Q may be zero. ``candidates`` (E, 1+Q) holds, per
+    anchor, its partner and then its negatives, stacked once here so a
+    batch scored every epoch is not restacked.
     """
 
-    __slots__ = ("pairs", "negatives")
+    __slots__ = ("pairs", "negatives", "candidates")
 
     def __init__(self, pairs, negatives):
         pairs = np.ascontiguousarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -162,6 +164,7 @@ class EdgeBatch:
             )
         self.pairs = pairs
         self.negatives = negatives
+        self.candidates = np.hstack([pairs[:, 1:], negatives])
 
     @property
     def size(self) -> int:
@@ -192,9 +195,7 @@ def edge_loss(v: Tensor2, batch: EdgeBatch) -> Tensor2:
     if batch.size == 0:
         return Tensor2(np.zeros((1, 1)))
     anchors = compute.gather_rows(v, batch.pairs[:, 0])
-    # per anchor: its partner, then its Q negatives
-    candidates = np.hstack([batch.pairs[:, 1:], batch.negatives])
-    return compute.negative_sampling_loss(anchors, v, candidates)
+    return compute.negative_sampling_loss(anchors, v, batch.candidates)
 
 
 def gcn_loss(

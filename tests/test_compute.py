@@ -368,54 +368,70 @@ def test_negative_sampling_loss_in_blocks_equals_one_einsum_bitwise(e):
     got_a, got_v = backward(compute.scale(loss, -2.5))
     arg = np.einsum("ed,ekd->ek", a, v[candidates])
     arg[:, 0] *= -1.0
-    assert loss.data.tobytes() == np.array([[compute._softplus(arg).sum()]]).tobytes()
+    softplus = np.maximum(arg, 0.0) + np.log1p(np.exp(-np.abs(arg)))
+    assert loss.data.tobytes() == np.array([[softplus.sum()]]).tobytes()
     want_a, want_v = _negative_sampling_reference_grads(a, v, candidates, -2.5)
     assert got_a.tobytes() == want_a.tobytes()
     assert got_v.tobytes() == want_v.tobytes()
 
 
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        out = f()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 def test_negative_sampling_loss_forms_no_full_candidate_gather():
-    # a full-batch call at the large benchmark's size: the gathered
-    # (E, 1+Q, d) tensor alone would take 32 MB
+    # scratch stays within one gather block plus two (E, 1+Q) arrays: the
+    # scores and one softplus temporary. At the large benchmark's size the
+    # gathered (E, 1+Q, d) tensor alone would take 32 MB.
     e, q, d, n = 21_000, 5, 32, 3_000
     rng = np.random.default_rng(19)
+    a, v = Tensor2(rng.normal(size=(e, d))), Tensor2(rng.normal(size=(n, d)))
+    candidates = rng.integers(0, n, size=(e, 1 + q))
+    loss, peak = _traced_peak(lambda: compute.negative_sampling_loss(a, v, candidates))
+    assert loss.tape is None
+    assert peak < 2 * e * (1 + q) * 8 + 256 * 2**10
+    # a training batch on a tape: its (E, 1+Q, d) gather would take 393 KiB
+    e, n = 256, 300
     tape = GradTape()
     a = tape.parameter(rng.normal(size=(e, d)))
     v = tape.parameter(rng.normal(size=(n, d)))
     candidates = rng.integers(0, n, size=(e, 1 + q))
-    tracemalloc.start()
-    try:
-        loss = compute.negative_sampling_loss(a, v, candidates)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    loss, peak = _traced_peak(lambda: compute.negative_sampling_loss(a, v, candidates))
     assert loss.tape is tape
-    assert peak < 8 * 2**20
+    assert peak < 256 * 2**10
 
 
 def test_negative_sampling_loss_pulls_scale_the_sparse_gradient_bitwise():
-    # under an upstream other than 1, each pull equals the product with the
-    # sparse matrix S built from g * dscore, bit for bit; ids repeat in rows
+    # each pull equals the product with the sparse matrix S built from
+    # g * dscore, bit for bit: S itself under the upstream 1 that training
+    # passes, and a scaled copy otherwise; ids repeat in rows
     rng = np.random.default_rng(15)
     a = rng.normal(size=(30, 5)) * np.exp(2.0 * rng.normal(size=(30, 5)))
     v = rng.normal(size=(6, 5)) * np.exp(2.0 * rng.normal(size=(6, 5)))
     a, v = a / np.abs(a).max(), v / np.abs(v).max()
     candidates = rng.integers(0, 6, size=(30, 4))
-    _, (got_a, got_v) = tape_grads(
-        lambda n: compute.scale(compute.negative_sampling_loss(n[0], n[1], candidates), 0.37),
-        [a, v],
-    )
     arg = np.einsum("ed,ekd->ek", a, v[candidates])
     arg[:, 0] *= -1.0
     dscore = expit(arg)
     dscore[:, 0] *= -1.0
     e, k = candidates.shape
-    s = sparse.csr_matrix(
-        ((0.37 * dscore).ravel(), candidates.ravel(), np.arange(0, e * k + 1, k)),
-        shape=(e, v.shape[0]),
-    )
-    assert got_a.tobytes() == (s @ v).tobytes()
-    assert got_v.tobytes() == (s.T @ a).tobytes()
+    for g in (1.0, 0.37, -2.5):
+        _, (got_a, got_v) = tape_grads(
+            lambda n: compute.scale(compute.negative_sampling_loss(n[0], n[1], candidates), g),
+            [a, v],
+        )
+        s = sparse.csr_matrix(
+            ((g * dscore).ravel(), candidates.ravel(), np.arange(0, e * k + 1, k)),
+            shape=(e, v.shape[0]),
+        )
+        assert got_a.tobytes() == (s @ v).tobytes()
+        assert got_v.tobytes() == (s.T @ a).tobytes()
 
 
 def test_negative_sampling_loss_untaped_skips_the_gradient(monkeypatch):
