@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import warnings
 from dataclasses import asdict, dataclass
@@ -39,7 +40,7 @@ class LabelSet:
     over the same ``classes`` tuple, in the same order.
     """
 
-    __slots__ = ("classes", "assignments", "multi_label")
+    __slots__ = ("classes", "assignments", "multi_label", "_index")
 
     def __init__(
         self,
@@ -60,6 +61,15 @@ class LabelSet:
         self.classes = classes
         self.assignments = {int(k): tuple(sorted(v)) for k, v in assignments.items()}
         self.multi_label = multi_label
+        # target_matrix's index arrays: the sorted node ids, their class
+        # indices run together in that order (`flat`), and where each node's
+        # run starts in `flat`, with one more entry for the end
+        known = sorted(self.assignments)
+        per_node = [self.assignments[node] for node in known]
+        starts = np.zeros(len(known) + 1, dtype=np.int64)
+        starts[1:] = np.cumsum([len(idx) for idx in per_node])
+        flat = np.fromiter(itertools.chain.from_iterable(per_node), dtype=np.int64)
+        self._index = (np.array(known, dtype=np.int64), starts, flat)
 
     @classmethod
     def from_mapping(
@@ -90,13 +100,26 @@ class LabelSet:
         return len(self.classes)
 
     def node_ids(self) -> np.ndarray:
-        return np.array(sorted(self.assignments), dtype=np.int64)
+        return self._index[0].copy()
 
     def target_matrix(self, node_ids: np.ndarray) -> np.ndarray:
-        """(n, C) multi-hot rows for the given nodes."""
-        y = np.zeros((len(node_ids), self.num_classes))
-        for row, node in enumerate(node_ids):
-            y[row, list(self.assignments[int(node)])] = 1.0
+        """(n, C) multi-hot rows for the given nodes. A node without
+        labels raises ``KeyError``."""
+        node_ids = np.asarray(node_ids, dtype=np.int64)
+        known, starts, flat = self._index
+        at = np.searchsorted(known, node_ids)
+        hit = at < known.size
+        hit[hit] = known[at[hit]] == node_ids[hit]
+        if not hit.all():
+            raise KeyError(int(node_ids[np.argmin(hit)]))
+        counts = starts[at + 1] - starts[at]
+        rows = np.repeat(np.arange(node_ids.size), counts)
+        # the k-th label of row r sits at starts[at[r]] + k in `flat`, and is
+        # pair number offset[r] + k of `rows`
+        offset = np.cumsum(counts) - counts
+        cells = np.arange(rows.size) + np.repeat(starts[at] - offset, counts)
+        y = np.zeros((node_ids.size, self.num_classes))
+        y[rows, flat[cells]] = 1.0
         return y
 
     def names_for(self, node: int) -> tuple[str, ...]:
@@ -149,18 +172,27 @@ def _fingerprint(x: np.ndarray, node_ids: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _cross_entropy(z: np.ndarray, y: np.ndarray, multi_label: bool):
-    """Mean log loss of logits ``z`` against 0/1 targets ``y``, and its
-    gradient in ``z``: softmax cross entropy averaged over rows or, for
-    multi-label data, each sigmoid head's binary cross entropy averaged
-    over all entries. Both work off the logits, so neither overflows."""
+def _log_sum_exp(z: np.ndarray) -> np.ndarray:
+    zmax = z.max(axis=1, keepdims=True)
+    return zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
+
+
+def _mean_log_loss(z: np.ndarray, y: np.ndarray, multi_label: bool):
+    """Mean log loss of logits ``z`` against 0/1 targets ``y``: softmax
+    cross entropy averaged over rows or, for multi-label data, each sigmoid
+    head's binary cross entropy averaged over all entries. Both work off
+    the logits, so neither overflows."""
     if multi_label:
         # softplus(z) - z*y  ==  -y*log(s) - (1-y)*log(1-s)
-        return (_softplus(z) - z * y).sum() / z.size, (expit(z) - y) / z.size
-    zmax = z.max(axis=1, keepdims=True)
-    lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
-    n = z.shape[0]
-    return (lse - (z * y).sum(axis=1, keepdims=True)).sum() / n, (np.exp(z - lse) - y) / n
+        return (_softplus(z) - z * y).sum() / z.size
+    return (_log_sum_exp(z) - (z * y).sum(axis=1, keepdims=True)).sum() / z.shape[0]
+
+
+def _log_loss_gradient(z: np.ndarray, y: np.ndarray, multi_label: bool) -> np.ndarray:
+    """Gradient of :func:`_mean_log_loss` in ``z``."""
+    if multi_label:
+        return (expit(z) - y) / z.size
+    return (np.exp(z - _log_sum_exp(z)) - y) / z.shape[0]
 
 
 @dataclass
@@ -191,7 +223,7 @@ def log_loss(clf: Classifier, embeddings: np.ndarray, labels: LabelSet) -> float
     """Mean cross entropy of the classifier on the given labeled nodes."""
     node_ids, x = _labeled_rows(embeddings, labels)
     z = _finite(clf.logits(x), "classifier logits")
-    loss, _ = _cross_entropy(z, labels.target_matrix(node_ids), clf.multi_label)
+    loss = _mean_log_loss(z, labels.target_matrix(node_ids), clf.multi_label)
     return float(_finite(loss, "classifier log loss"))
 
 
@@ -238,7 +270,7 @@ def train_classifier(
         rows = rng.permutation(x.shape[0])  # each epoch sums the rows in a fresh order
         x_rows = x[rows]
         z = _finite(x_rows @ weights + bias, "classifier logits")
-        _, dz = _cross_entropy(z, y[rows], labels.multi_label)
+        dz = _log_loss_gradient(z, y[rows], labels.multi_label)
         # the gradient of mean log loss + l2 * sum(W^2), summed before lr
         # scales it; another grouping rounds differently, and tests pin the bits
         weights = weights - lr * (2.0 * weights * l2 + x_rows.T @ dz)
@@ -348,10 +380,15 @@ def evaluate_transfer(
 
 # Cells of the pooled squared-distance matrix that distribution_distance
 # forms at a time: 2^20 float64, 8 MiB, like synth._DRAW_ROWS bounds the edge
-# draw. A call whose strict upper triangle has at most _KEPT_CELLS cells
-# (64 MiB) keeps its blocks between passes instead of forming them again.
+# draw. _BLOCK_CELLS also caps the median's window buffer. A call whose
+# strict upper triangle has at most _KEPT_CELLS cells (64 MiB) keeps its
+# blocks between passes; a larger one forms them twice, once to find the
+# median in a window guessed from _SAMPLE_ROWS strided rows (ranks
+# 0.5 ± _WINDOW of the sample's distances) and once to sum the kernel.
 _BLOCK_CELLS = 1 << 20
 _KEPT_CELLS = 1 << 23
+_SAMPLE_ROWS = 1000
+_WINDOW = 0.025
 _LAST_BITS = (1 << 63) - 1  # the largest int64: every positive double lies under it
 
 
@@ -378,6 +415,7 @@ def _upper_sq_distances(pooled: np.ndarray, na: int):
             yield own, d2[:, rows : stop - r0]
             if own == 0:
                 yield 1, d2[:, stop - r0 :]
+            del d2  # with the caller's last piece dropped, the block is freed
             r0 = r1
 
 
@@ -389,7 +427,7 @@ def _positive_bits(blocks, first: int, last: int):
         yield bits if first == 0 and last == _LAST_BITS else bits[(bits >= first) & (bits <= last)]
 
 
-def _median_of_positive(blocks) -> float:
+def _median_of_positive(blocks, window=None) -> float:
     """``np.median`` of the positive cells of the pieces ``blocks()`` yields,
     or 1.0 when none is, without holding the cells.
 
@@ -398,14 +436,21 @@ def _median_of_positive(blocks) -> float:
     rank or ranks. Two middle ranks in different bins are the largest
     pattern of the first bin and the smallest of the second. A bin of at
     most _BLOCK_CELLS patterns is gathered and sorted; a larger one is
-    counted again by its next 16 bits, until its bins hold one pattern."""
+    counted again by its next 16 bits, until its bins hold one pattern.
+
+    ``window`` resumes the search from counts already taken: ``(first,
+    last, shift, below, counts, ranks)``, with [first, last] a whole number
+    of bins of 2^shift patterns that holds both middle ranks."""
     first, last, below = 0, _LAST_BITS, 0  # `below` patterns lie under first
-    shift, ranks = 47, None
+    shift, ranks, counts = 47, None, None
+    if window is not None:
+        first, last, shift, below, counts, ranks = window
     while True:
-        bins = ((last - first) >> shift) + 1
-        counts = np.zeros(bins, dtype=np.int64)
-        for bits in _positive_bits(blocks, first, last):
-            counts += np.bincount((bits - first) >> shift, minlength=bins)
+        if counts is None:
+            bins = ((last - first) >> shift) + 1
+            counts = np.zeros(bins, dtype=np.int64)
+            for bits in _positive_bits(blocks, first, last):
+                counts += np.bincount((bits - first) >> shift, minlength=bins)
         if ranks is None:
             total = int(counts.sum())
             if total == 0:
@@ -430,9 +475,75 @@ def _median_of_positive(blocks) -> float:
             pair = [int(bits[r - below]) for r in ranks]
         else:
             first, last, shift = start, start + width - 1, max(shift - 16, 0)
+            counts = None
             continue
-        a, b = np.array(pair, dtype=np.int64).view(np.float64)
-        return float(a) if ranks[0] == ranks[1] else float((a + b) / 2)
+        return _middle(np.array(pair, dtype=np.int64).view(np.float64), ranks)
+
+
+def _middle(pair: np.ndarray, ranks: tuple[int, int]) -> float:
+    """The median from the values at its two middle ranks, as ``np.median``
+    rounds it."""
+    a, b = pair
+    return float(a) if ranks[0] == ranks[1] else float((a + b) / 2)
+
+
+def _sample_window(pooled: np.ndarray):
+    """``(first, last, shift)``: bit patterns [first, last], a whole number
+    of at most 2^16 bins of 2^shift patterns, that hold the ranks 0.5 ±
+    _WINDOW of the positive squared distances between about _SAMPLE_ROWS
+    strided rows of ``pooled``; None when no such distance is positive."""
+    sample = pooled[:: -(-pooled.shape[0] // _SAMPLE_ROWS)]
+    cells = np.concatenate([c[c > 0] for _, c in _upper_sq_distances(sample, sample.shape[0])])
+    if cells.size == 0:
+        return None
+    k = int((0.5 - _WINDOW) * (cells.size - 1))
+    cells.partition((k, cells.size - 1 - k))
+    first, hi = (int(b) for b in cells[[k, cells.size - 1 - k]].view(np.int64))
+    shift = max((hi - first).bit_length() - 16, 0)
+    return first, first + ((((hi - first) >> shift) + 1) << shift) - 1, shift
+
+
+def _windowed_median(pooled: np.ndarray, blocks) -> float:
+    """:func:`_median_of_positive` of ``blocks()``, found in the first pass
+    over them when the window of :func:`_sample_window` holds both middle
+    ranks.
+
+    That pass counts the positive cells and those under the window, bins
+    the window's cells like the search's counts, and gathers them into one
+    buffer of _BLOCK_CELLS values while they fit. Gathered, the middle ranks
+    are picked from the buffer in place; too many to gather, the search
+    resumes from the window's counts. A window that misses a middle rank
+    leaves the whole search to run."""
+    window = _sample_window(pooled)
+    if window is None:
+        return _median_of_positive(blocks)
+    first, last, shift = window
+    low, high = np.array([first, last], dtype=np.int64).view(np.float64)
+    bins = ((last - first) >> shift) + 1
+    counts = np.zeros(bins, dtype=np.int64)
+    gathered = np.empty(_BLOCK_CELLS)
+    total = at_or_above = inside = 0
+    for _, cells in blocks():
+        total += np.count_nonzero(cells > 0)
+        mask = cells >= low
+        at_or_above += np.count_nonzero(mask)
+        mask &= cells <= high
+        found = cells[mask]
+        counts += np.bincount((found.view(np.int64) - first) >> shift, minlength=bins)
+        if inside + found.size <= gathered.size:
+            gathered[inside : inside + found.size] = found
+        inside += found.size
+        del cells, mask  # before the next block is formed
+    below = total - at_or_above  # positive cells under the window
+    ranks = ((total - 1) // 2, total // 2)
+    if not below <= ranks[0] <= ranks[1] < below + inside:  # or no cell is positive
+        return _median_of_positive(blocks)
+    if inside > gathered.size:
+        return _median_of_positive(blocks, (first, last, shift, below, counts, ranks))
+    gathered = gathered[:inside]
+    at = (ranks[0] - below, ranks[1] - below)
+    gathered.partition(at)
+    return _middle(gathered[list(at)], ranks)
 
 
 def distribution_distance(v_a: np.ndarray, v_b: np.ndarray) -> float:
@@ -443,15 +554,19 @@ def distribution_distance(v_a: np.ndarray, v_b: np.ndarray) -> float:
 
     The pooled distances are formed in blocks of rows (see
     :func:`_upper_sq_distances`), so memory does not grow with the square
-    of the row count: one pass finds the median's bins, a second the median,
-    and a last one sums the kernel over the pairs within each cloud and
-    across."""
+    of the row count. Past _KEPT_CELLS they are formed twice: the first pass
+    finds the median (:func:`_windowed_median`), the last sums the kernel
+    over the pairs within each cloud and across. A middle rank outside the
+    sampled window costs the whole search of :func:`_median_of_positive`.
+    A NaN or Inf in either cloud raises :class:`NonFiniteValue`."""
     v_a = np.asarray(v_a, dtype=np.float64)
     v_b = np.asarray(v_b, dtype=np.float64)
     if v_a.ndim != 2 or v_b.ndim != 2 or v_a.shape[1] != v_b.shape[1]:
         raise ShapeMismatch(f"distribution_distance: {v_a.shape} vs {v_b.shape}")
     if v_a.shape[0] == 0 or v_b.shape[0] == 0:
         raise EmptyInput("both clouds need at least one row")
+    _finite(v_a, "the first embedding cloud")
+    _finite(v_b, "the second embedding cloud")
     # order the two clouds canonically so the result is exactly symmetric
     key_a = (v_a.shape, v_a.tobytes())
     key_b = (v_b.shape, v_b.tobytes())
@@ -464,14 +579,16 @@ def distribution_distance(v_a: np.ndarray, v_b: np.ndarray) -> float:
     n = na + nb
     if n * (n - 1) // 2 <= _KEPT_CELLS:
         blocks = list(_upper_sq_distances(pooled, na)).__iter__
+        denom = _median_of_positive(blocks)
     else:
         blocks = functools.partial(_upper_sq_distances, pooled, na)
-    denom = _median_of_positive(blocks)
+        denom = _windowed_median(pooled, blocks)
     # kernel sums over the pairs i < j of each region; the last pass, so it
     # may overwrite kept blocks. d2 / -denom is -d2 / denom exactly
     sums = [0.0, 0.0, 0.0]
     for region, cells in blocks():
         sums[region] += float(np.exp(np.divide(cells, -denom, out=cells), out=cells).sum())
+        del cells  # before the next block is formed
     # the kernel is symmetric with a unit diagonal, so each cloud's sum is
     # its row count plus twice its pairs i < j
     s_aa, s_ab, s_bb = na + 2.0 * sums[0], sums[1], nb + 2.0 * sums[2]

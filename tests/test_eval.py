@@ -69,6 +69,25 @@ def test_target_matrix():
     np.testing.assert_array_equal(y, [[1, 0, 1], [0, 1, 0]])
 
 
+@pytest.mark.parametrize("multi_label", [False, True], ids=["single-label", "multi-label"])
+def test_target_matrix_equals_a_loop_over_nodes(multi_label):
+    rng = np.random.default_rng(3)
+    nodes = rng.choice(500, size=200, replace=False)
+    assignments = {
+        int(node): tuple(rng.choice(4, size=rng.integers(1, 4) if multi_label else 1, replace=False))
+        for node in nodes
+    }
+    ls = ev.LabelSet(("a", "b", "c", "d"), assignments, multi_label)
+    # sorted, shuffled, repeated and empty requests
+    for ids in (ls.node_ids(), rng.permutation(nodes), np.repeat(nodes[:7], 3), nodes[:0]):
+        want = np.zeros((len(ids), 4))
+        for row, node in enumerate(ids):
+            want[row, list(ls.assignments[int(node)])] = 1.0
+        np.testing.assert_array_equal(ls.target_matrix(ids), want)
+    with pytest.raises(KeyError):
+        ls.target_matrix(np.array([int(nodes[0]), 500]))
+
+
 def test_align_label_sets_shares_union_vocabulary():
     a, b = ev.align_label_sets({0: ("x",)}, {0: ("y",), 1: ("z",)})
     assert a.classes == b.classes == ("x", "y", "z")
@@ -323,10 +342,10 @@ def test_probe_multi_label_loss_matches_naive():
 
 def test_probe_loss_gradient_closed_form():
     # (softmax - y) / n for one row of zero logits
-    _, dz = ev._cross_entropy(np.zeros((1, 3)), np.array([[0.0, 1.0, 0.0]]), False)
+    dz = ev._log_loss_gradient(np.zeros((1, 3)), np.array([[0.0, 1.0, 0.0]]), False)
     np.testing.assert_allclose(dz, np.array([[1, -2, 1]]) / 3.0, atol=1e-15)
     # (sigmoid - y) / (n C), sigmoid(0) = 1/2
-    _, dz = ev._cross_entropy(np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 0.0]]), True)
+    dz = ev._log_loss_gradient(np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 0.0]]), True)
     np.testing.assert_array_equal(dz, np.array([[-0.125, 0.125], [0.125, 0.125]]))
 
 
@@ -591,6 +610,81 @@ def test_median_of_no_positive_value_is_one():
     assert ev._median_of_positive(_as_pieces(np.zeros(0))) == 1.0
 
 
+def _count_formations(monkeypatch) -> list[int]:
+    """The row count of every matrix _upper_sq_distances is asked to form."""
+    formed, form = [], ev._upper_sq_distances
+
+    def counted(pooled, na):
+        formed.append(pooled.shape[0])
+        return form(pooled, na)
+
+    monkeypatch.setattr(ev, "_upper_sq_distances", counted)
+    return formed
+
+
+def _positive_cells(pooled, na):
+    cells = np.concatenate([c.ravel() for _, c in ev._upper_sq_distances(pooled, na)])
+    return cells[cells > 0]
+
+
+def _kept_and_formed_again(monkeypatch, a, b):
+    """distribution_distance of a call that keeps its blocks, then of the
+    same call with its blocks formed again, and the formations of the
+    second call: (kept, formed again, row counts formed)."""
+    kept = ev.distribution_distance(a, b)
+    monkeypatch.setattr(ev, "_KEPT_CELLS", 0)
+    formed = _count_formations(monkeypatch)
+    return kept, ev.distribution_distance(a, b), formed
+
+
+def test_mmd_forms_the_blocks_twice_when_the_window_holds_the_median(monkeypatch):
+    # 2,000 pooled rows, so the window is sampled from every second row
+    rng = np.random.default_rng(26)
+    a, b = rng.normal(size=(1100, 4)), rng.normal(size=(900, 4)) + 0.3
+    kept, again, formed = _kept_and_formed_again(monkeypatch, a, b)
+    assert again == kept  # the same blocks and the same median, bit for bit
+    assert again == pytest.approx(_mmd_out_of_place(a, b), rel=1e-12)
+    assert formed.count(2000) == 2  # the median's pass and the kernel's
+    assert len(formed) == 3 and formed[0] <= ev._SAMPLE_ROWS
+
+
+def test_mmd_median_outside_the_sampled_window_runs_the_whole_search(monkeypatch):
+    # every second row, which the window is sampled from, sits in a tight
+    # cluster, so the sample's distances are far below the pooled median
+    rng = np.random.default_rng(27)
+    clouds = []
+    for shift in (0.0, 0.5):
+        v = 10.0 * rng.normal(size=(1000, 3)) + shift
+        v[::2] = 1e-3 * rng.normal(size=(500, 3))
+        clouds.append(v)
+    pooled = np.vstack(clouds)
+    first, last, _ = ev._sample_window(pooled)
+    positive = _positive_cells(pooled, 1000)
+    assert np.count_nonzero(positive.view(np.int64) <= last) < positive.size // 2
+    blocks = lambda: ev._upper_sq_distances(pooled, 1000)  # noqa: E731
+    assert ev._windowed_median(pooled, blocks) == np.median(positive)
+    kept, again, formed = _kept_and_formed_again(monkeypatch, *clouds)
+    assert again == kept
+    assert again == pytest.approx(_mmd_out_of_place(*clouds), rel=1e-12)
+    assert formed.count(2000) > 2
+
+
+def test_mmd_window_too_full_to_gather_resumes_from_its_counts(monkeypatch):
+    # a window of about 5% of 2.4M distances, gathered 4,096 at most
+    monkeypatch.setattr(ev, "_BLOCK_CELLS", 4096)
+    rng = np.random.default_rng(28)
+    a, b = rng.normal(size=(1200, 5)), rng.normal(size=(1000, 5)) + 0.2
+    pooled = np.vstack([b, a])  # the canonical order: the smaller cloud first
+    positive = _positive_cells(pooled, 1000)
+    formed = _count_formations(monkeypatch)
+    blocks = lambda: ev._upper_sq_distances(pooled, 1000)  # noqa: E731
+    assert ev._windowed_median(pooled, blocks) == np.median(positive)
+    # the sample, the counting pass, and one gathering the median's bin
+    assert formed.count(2200) == 2 and len(formed) == 3
+    monkeypatch.setattr(ev, "_KEPT_CELLS", 0)
+    assert ev.distribution_distance(a, b) == pytest.approx(_mmd_out_of_place(a, b), rel=1e-12)
+
+
 def test_mmd_memory_does_not_grow_with_the_pooled_square():
     rng = np.random.default_rng(25)
     n = 3000
@@ -603,6 +697,9 @@ def test_mmd_memory_does_not_grow_with_the_pooled_square():
     finally:
         tracemalloc.stop()
     assert peak < kernel / 4
+    # the search that counted, then gathered, its bins peaked at 37.9 MiB;
+    # the window buffer (8 MiB) must be paid for out of its temporaries
+    assert peak <= 38.9 * 2**20
 
 
 def test_mmd_input_validation():
@@ -610,6 +707,14 @@ def test_mmd_input_validation():
         ev.distribution_distance(np.zeros((3, 2)), np.zeros((3, 4)))
     with pytest.raises(EmptyInput):
         ev.distribution_distance(np.zeros((0, 2)), np.zeros((3, 2)))
+    a = np.zeros((3, 2))
+    for bad in (np.nan, np.inf):
+        b = np.ones((3, 2))
+        b[0, 0] = bad
+        with pytest.raises(NonFiniteValue, match="second embedding cloud"):
+            ev.distribution_distance(a, b)
+        with pytest.raises(NonFiniteValue, match="first embedding cloud"):
+            ev.distribution_distance(b, a)
 
 
 # --- 2-D projection -----------------------------------------------------------------
