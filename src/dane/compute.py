@@ -200,8 +200,11 @@ def _softplus(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def gather_rows(a, indices) -> Tensor2:
-    """Select rows by index; repeated indices sum their gradients. The
-    edge loss gathers its E anchor rows with it."""
+    """Select rows by index; repeated indices sum their gradients. Nothing
+    in the package calls it: the edge loss gathers its rows inside
+    :func:`negative_sampling_loss`. It stays only because
+    ``bench/spans.py`` and ``tests/test_bench_names.py`` name it, and goes
+    with the benchmark's next maintenance change."""
     a = _as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
@@ -219,69 +222,78 @@ def gather_rows(a, indices) -> Tensor2:
     return _make(a.data[idx], [(a, pull)])
 
 
-# Cap on the gathered candidate values negative_sampling_loss scores at once:
-# 2^14 float64, 128 KiB (85 anchor rows at Q=5, d=32). That fits in L2, and
-# it is no larger than glibc's default trim threshold, so freeing a block
-# does not by itself hand pages back to the kernel for the next call to
-# fault in again. Each score is one einsum reduction over d in any block, so
-# the scores do not depend on this, while no (E, 1+Q, d) gather is formed.
+# Cap on the gathered row values negative_sampling_loss scores at once: 2^14
+# float64, 128 KiB (73 anchor rows at Q=5, d=32). That fits in L2, and it is
+# no larger than glibc's default trim threshold, so freeing a block does not
+# by itself hand pages back to the kernel for the next call to fault in
+# again. Each score is one einsum reduction over d in any block, so the
+# scores do not depend on this, while no E x d or (E, 1+Q, d) gather is
+# formed.
 _SCORE_CELLS = 1 << 14
 
 
-def negative_sampling_loss(anchors, v, candidates) -> Tensor2:
-    """Sum over anchor rows a_i of -log sigmoid(a_i . v[c_i0]) plus, for
-    each further candidate c_ik, -log sigmoid(-a_i . v[c_ik]).
+def negative_sampling_loss(v, ids) -> Tensor2:
+    """Sum over rows i of ``ids`` of -log sigmoid(v[a_i] . v[c_i0]) plus,
+    for each further candidate c_ik, -log sigmoid(-v[a_i] . v[c_ik]).
 
-    ``candidates`` is an (E, 1+Q) array of row ids of ``v``, one row per
-    anchor: the linked partner first, then Q negatives (Q may be zero).
-    The forward pass scores the (E, 1+Q) matrix in blocks of anchor rows,
-    gathering each block's candidate rows into one buffer of at most
-    ``_SCORE_CELLS`` values, so no scratch array is larger than that or
-    than one E x (1+Q) array. It sums a softplus, taken in place, that never
-    overflows (a score of -1000 on a partner costs exactly 1000).
-    Only E x (1+Q) values reach the tape: the sparse E x n matrix S of
-    d loss / d score at (i, c_ik). Under upstream g the two pulls are
-    ``(g S) @ v`` for the anchors and ``(g S).T @ anchors`` for ``v``; S
-    itself serves when g is exactly 1, as it is in training.
+    ``ids`` is an (E, 2+Q) array of row ids of ``v``: per row the anchor
+    a_i, its linked partner c_i0, then Q negatives (Q may be zero). The
+    forward pass gathers the anchor and candidate rows of a block of ids
+    into one buffer of at most ``_SCORE_CELLS`` values and scores them, so
+    no scratch array is larger than that or than one E x (1+Q) array. It
+    sums a softplus, taken in place, that never overflows (a score of -1000
+    on a partner costs exactly 1000).
+    Only E x (1+Q) values reach the tape: the n x n sparse matrix W of
+    d loss / d score at (a_i, c_ik), its rows grouped by anchor and repeated
+    entries kept. A score a . c pulls c into row a and a into row c, so the
+    gradient under upstream g is ``(g W) @ v + (g W).T @ v``; W itself
+    serves when g is exactly 1, as it is in training.
     """
-    anchors, v = _as_tensor(anchors), _as_tensor(v)
-    cand = np.asarray(candidates, dtype=np.int64)
-    e, d = anchors.shape
-    if e == 0 or cand.ndim != 2 or cand.shape[0] != e or cand.shape[1] == 0 or v.cols != d:
+    v = _as_tensor(v)
+    ids = np.asarray(ids, dtype=np.int64)
+    n, d = v.shape
+    if ids.ndim != 2 or ids.shape[0] == 0 or ids.shape[1] < 2:
         raise ShapeMismatch(
-            f"negative_sampling_loss: anchors {anchors.shape}, v {v.shape}, candidates "
-            f"{cand.shape}; need one row of at least one id per anchor, equal widths"
+            f"negative_sampling_loss: ids {ids.shape}; need at least one row of an "
+            "anchor, a partner and any negatives"
         )
-    if cand.min() < 0 or cand.max() >= v.rows:
-        raise IndexOutOfRange(f"candidate id outside [0, {v.rows})")
-    a, vd = anchors.data, v.data
-    k = cand.shape[1]
+    if ids.min() < 0 or ids.max() >= n:
+        raise IndexOutOfRange(f"row id outside [0, {n})")
+    vd = v.data
+    e, k = ids.shape[0], ids.shape[1] - 1
     # softplus argument: minus the partner's score, plus each negative's
     arg = np.empty((e, k))
-    rows = min(e, max(1, _SCORE_CELLS // max(1, k * d)))  # d may be 0
-    block = np.empty((rows, k, d))
+    rows = min(e, max(1, _SCORE_CELLS // max(1, (1 + k) * d)))  # d may be 0
+    block = np.empty((rows, 1 + k, d))
     for i in range(0, e, rows):
         j = min(i + rows, e)
         # ids are checked above; mode="raise" would buffer into a new array
-        vd.take(cand[i:j], axis=0, out=block[: j - i], mode="clip")
-        np.einsum("ed,ekd->ek", a[i:j], block[: j - i], out=arg[i:j])
+        vd.take(ids[i:j], axis=0, out=block[: j - i], mode="clip")
+        np.einsum("ed,ekd->ek", block[: j - i, 0], block[: j - i, 1:], out=arg[i:j])
     arg[:, 0] *= -1.0
-    taped = anchors.tape is not None or v.tape is not None
+    taped = v.tape is not None
     # d loss / d score, read before the softplus overwrites arg
     dscore = expit(arg) if taped else None
     out = np.array([[_softplus(arg, out=arg).sum()]])
     if not taped:
         return Tensor2(out)
+    del arg  # spent: free it before W's E x (1+Q) arrays are formed
     dscore[:, 0] *= -1.0
-    # rows of S are already sorted by anchor
-    s = sparse.csr_matrix(
-        (dscore.ravel(), cand.ravel(), np.arange(0, e * k + 1, k)), shape=(e, v.rows)
+    anchors = ids[:, 0]
+    order = np.argsort(anchors, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(anchors, minlength=n) * k, out=indptr[1:])
+    w = sparse.csr_matrix(
+        (dscore[order].ravel(), ids[order, 1:].ravel(), indptr), shape=(n, n)
     )
 
-    def scaled(g):
-        return s if g[0, 0] == 1.0 else g[0, 0] * s
+    def pull(g):
+        wg = w if g[0, 0] == 1.0 else g[0, 0] * w
+        grad = wg @ vd
+        grad += wg.T @ vd
+        return grad
 
-    return _make(out, [(anchors, lambda g: scaled(g) @ vd), (v, lambda g: scaled(g).T @ a)])
+    return _make(out, [(v, pull)])
 
 
 def least_squares(a, b, target_a: float, target_b: float) -> Tensor2:

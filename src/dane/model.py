@@ -144,31 +144,38 @@ def encode(params, prop: PropagationMatrix, features, *, propagated: bool = Fals
 
 
 class EdgeBatch:
-    """Positive pairs plus per-pair negatives.
+    """Positive pairs plus per-pair negatives, in one (E, 2+Q) id array.
 
-    ``pairs`` is (E, 2); column 0 is the anchor whose dot products are
-    scored, against its linked partner and against ``negatives`` (E, Q)
-    sampled nodes. Q may be zero. ``candidates`` (E, 1+Q) holds, per
-    anchor, its partner and then its negatives, stacked once here so a
-    batch scored every epoch is not restacked.
+    Each row of ``ids`` holds the anchor whose dot products are scored, its
+    linked partner, then Q sampled negatives (Q may be zero). ``pairs``
+    (E, 2) and ``negatives`` (E, Q) are views of it, so the array the edge
+    loss reads is built once per batch.
     """
 
-    __slots__ = ("pairs", "negatives", "candidates")
+    __slots__ = ("ids",)
 
     def __init__(self, pairs, negatives):
-        pairs = np.ascontiguousarray(pairs, dtype=np.int64).reshape(-1, 2)
-        negatives = np.ascontiguousarray(negatives, dtype=np.int64)
+        pairs = np.asarray(pairs).reshape(-1, 2)
+        negatives = np.asarray(negatives)
         if negatives.ndim != 2 or negatives.shape[0] != pairs.shape[0]:
             raise ShapeMismatch(
                 f"negatives {negatives.shape} do not align with pairs {pairs.shape}"
             )
-        self.pairs = pairs
-        self.negatives = negatives
-        self.candidates = np.hstack([pairs[:, 1:], negatives])
+        self.ids = np.empty((pairs.shape[0], 2 + negatives.shape[1]), dtype=np.int64)
+        self.ids[:, :2] = pairs
+        self.ids[:, 2:] = negatives
+
+    @property
+    def pairs(self) -> np.ndarray:
+        return self.ids[:, :2]
+
+    @property
+    def negatives(self) -> np.ndarray:
+        return self.ids[:, 2:]
 
     @property
     def size(self) -> int:
-        return self.pairs.shape[0]
+        return self.ids.shape[0]
 
 
 def sample_edge_batch(
@@ -187,15 +194,14 @@ def edge_loss(v: Tensor2, batch: EdgeBatch) -> Tensor2:
 
     Sum over pairs of -log sigmoid(v_i . v_j), plus for each negative k of
     pair anchor i, -log sigmoid(-v_i . v_k). Sum reduction: every edge
-    contributes the same weight regardless of batch size. Two tape ops: a
-    gather of the E anchor rows, and one sampled score of each anchor
-    against its partner and negatives, whose gradient is two sparse
-    products (see :func:`compute.negative_sampling_loss`).
+    contributes the same weight regardless of batch size. One tape op, which
+    scores each anchor against its partner and negatives straight from the
+    batch's ids, forms no E x d array, and pulls its gradient through one
+    n x n sparse matrix (see :func:`compute.negative_sampling_loss`).
     """
     if batch.size == 0:
         return Tensor2(np.zeros((1, 1)))
-    anchors = compute.gather_rows(v, batch.pairs[:, 0])
-    return compute.negative_sampling_loss(anchors, v, batch.candidates)
+    return compute.negative_sampling_loss(v, batch.ids)
 
 
 def gcn_loss(

@@ -60,9 +60,10 @@ def test_overflow_inside_op_is_caught():
 
 
 def _ns_loss(anchor_row, candidate_rows) -> float:
-    # one anchor scored against every row of v: the partner, then negatives
+    # row 0 of v, the anchor, scored against every later row: the partner,
+    # then negatives
     return compute.negative_sampling_loss(
-        Tensor2([anchor_row]), Tensor2(candidate_rows), [list(range(len(candidate_rows)))]
+        Tensor2([anchor_row] + candidate_rows), [list(range(1 + len(candidate_rows)))]
     ).item()
 
 
@@ -114,27 +115,25 @@ def test_elementwise_shape_mismatch():
 @pytest.mark.parametrize(
     "anchors, candidates",
     [
-        ((2, 3), (3, 2)),  # a candidate row with no anchor
-        ((2, 3), (2, 0)),  # no partner
-        ((2, 2), (2, 2)),  # anchors narrower than v
-        ((0, 3), (0, 2)),  # no anchors
-        ((2, 3), (4,)),  # candidates not one row per anchor
+        ((2, 1), (2, 0)),  # no partner
+        ((2, 0), (2, 0)),  # no ids at all
+        ((0, 1), (0, 2)),  # no anchors
+        ((1,), (3,)),  # ids not one row per anchor
+        ((2, 1, 1), (2, 1, 2)),  # ids not a matrix
     ],
 )
 def test_negative_sampling_loss_rows_must_align(anchors, candidates):
+    # ids are the anchor columns followed by the candidate columns
+    ids = np.concatenate([np.zeros(anchors, dtype=int), np.zeros(candidates, dtype=int)], axis=-1)
     with pytest.raises(ShapeMismatch):
-        compute.negative_sampling_loss(
-            Tensor2(np.zeros(anchors)), Tensor2(np.zeros((4, 3))), np.zeros(candidates, dtype=int)
-        )
+        compute.negative_sampling_loss(Tensor2(np.zeros((4, 3))), ids)
 
 
 @pytest.mark.parametrize("bad", [4, -1])
 def test_negative_sampling_loss_candidates_out_of_range(bad):
-    candidates = [[1, 2], [3, bad]]
-    with pytest.raises(IndexOutOfRange):
-        compute.negative_sampling_loss(
-            Tensor2(np.zeros((2, 3))), Tensor2(np.zeros((4, 3))), candidates
-        )
+    for ids in ([[0, 1, 2], [1, 3, bad]], [[0, 1, 2], [bad, 3, 2]]):
+        with pytest.raises(IndexOutOfRange):
+            compute.negative_sampling_loss(Tensor2(np.zeros((4, 3))), ids)
 
 
 def test_affine_requires_row_vector_bias():
@@ -285,13 +284,12 @@ def test_gather_rows_gradient_equals_add_at_bitwise(idx):
 def test_negative_sampling_loss_gradients(q):
     # candidate ids repeat within and across rows
     rng = np.random.default_rng(12)
-    anchors, v = rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
-    candidates = rng.integers(0, 4, size=(3, 1 + q))
-    candidates[1, :] = 2
-    # scaled, so each pull must apply its upstream gradient
+    v = rng.normal(size=(4, 4))
+    ids = rng.integers(0, 4, size=(3, 2 + q))
+    ids[1, 1:] = 2
+    # scaled, so the pull must apply its upstream gradient
     check_gradients(
-        lambda n: compute.scale(compute.negative_sampling_loss(n[0], n[1], candidates), -2.5),
-        [anchors, v],
+        lambda n: compute.scale(compute.negative_sampling_loss(n[0], ids), -2.5), [v]
     )
 
 
@@ -301,32 +299,33 @@ def test_negative_sampling_loss_gradients_through_repeated_rows(q):
     # an anchor can be its own candidate
     rng = np.random.default_rng(13)
     v = rng.normal(size=(5, 3))
-    anchor_idx = [0, 0, 3, 1]
-    candidate_idx = rng.integers(0, 5, size=(4, 1 + q))
-    candidate_idx[0, :] = 2
-    candidate_idx[2, -1] = 3
-    check_gradients(
-        lambda n: compute.negative_sampling_loss(
-            compute.gather_rows(n[0], anchor_idx), n[0], candidate_idx
-        ),
-        [v],
-    )
+    ids = np.column_stack([[0, 0, 3, 1], rng.integers(0, 5, size=(4, 1 + q))])
+    ids[0, 1:] = 2
+    ids[2, -1] = 3
+    check_gradients(lambda n: compute.negative_sampling_loss(n[0], ids), [v])
 
 
-def _negative_sampling_reference_grads(a, v, candidates, g):
-    """Both gradients as the loss computed them from a gathered (E, 1+Q, d)
-    candidate tensor: an einsum for the anchors, and a row scatter of
-    per-candidate products, in candidate order, for v."""
-    c = v[candidates]
-    arg = np.einsum("ed,ekd->ek", a, c)
+def _dscore(v, ids, g=1.0):
+    """g times d loss / d score, (E, 1+Q), from the gathered rows."""
+    arg = np.einsum("ed,ekd->ek", v[ids[:, 0]], v[ids[:, 1:]])
     arg[:, 0] *= -1.0
     dscore = expit(arg)
     dscore[:, 0] *= -1.0
-    w = g * dscore
-    grad_a = np.einsum("ek,ekd->ed", w, c)
-    grad_v = np.zeros_like(v)
-    np.add.at(grad_v, candidates.ravel(), (w[:, :, None] * a[:, None, :]).reshape(-1, a.shape[1]))
-    return grad_a, grad_v
+    return dscore if g == 1.0 else g * dscore
+
+
+def _negative_sampling_reference_grad(v, ids, g):
+    """The gradient as two row scatters of per-score products, each in the
+    order of a stable sort of the rows by anchor, added at the end: the
+    anchor's pull c * dscore into its row, and the candidate's a * dscore."""
+    ids = ids[np.argsort(ids[:, 0], kind="stable")]
+    w = _dscore(v, ids, g)
+    k, d = w.shape[1], v.shape[1]
+    a, c = v[ids[:, 0]], v[ids[:, 1:]]
+    into_anchors, into_candidates = np.zeros_like(v), np.zeros_like(v)
+    np.add.at(into_anchors, np.repeat(ids[:, 0], k), (w[:, :, None] * c).reshape(-1, d))
+    np.add.at(into_candidates, ids[:, 1:].ravel(), (w[:, :, None] * a[:, None, :]).reshape(-1, d))
+    return into_anchors + into_candidates
 
 
 @pytest.mark.parametrize("q", [0, 5])
@@ -334,20 +333,37 @@ def test_negative_sampling_loss_gradients_equal_gathered_reference_bitwise(q):
     # values of very different magnitudes make a changed summation order
     # show; ids repeat so rows of v collect many contributions
     rng = np.random.default_rng(14)
-    a = rng.normal(size=(40, 6)) * np.exp(2.0 * rng.normal(size=(40, 6)))
-    v = rng.normal(size=(7, 6)) * np.exp(2.0 * rng.normal(size=(7, 6)))
-    a, v = a / np.abs(a).max(), v / np.abs(v).max()
-    candidates = rng.integers(0, 7, size=(40, 1 + q))
-    _, (got_a, got_v) = tape_grads(
-        lambda n: compute.scale(compute.negative_sampling_loss(n[0], n[1], candidates), -2.5),
-        [a, v],
+    v = _spread(rng, (7, 6))
+    v /= np.abs(v).max()
+    ids = rng.integers(0, 7, size=(40, 2 + q))
+    _, (got,) = tape_grads(
+        lambda n: compute.scale(compute.negative_sampling_loss(n[0], ids), -2.5), [v]
     )
-    want_a, want_v = _negative_sampling_reference_grads(a, v, candidates, -2.5)
-    assert got_a.tobytes() == want_a.tobytes()
-    assert got_v.tobytes() == want_v.tobytes()
+    assert got.tobytes() == _negative_sampling_reference_grad(v, ids, -2.5).tobytes()
 
 
-_SCORE_ROWS = compute._SCORE_CELLS // (6 * 4)  # anchor rows per block at Q=5, d=4
+@pytest.mark.parametrize("g", [1.0, 0.37, -2.5])
+def test_negative_sampling_loss_gradient_matches_a_scatter_in_id_order(g):
+    # unsorted, repeated anchors, one of them drawn as its own negative,
+    # against np.add.at over the ids as given, under each upstream
+    rng = np.random.default_rng(20)
+    n, d, e, q = 11, 5, 60, 4
+    v = rng.normal(size=(n, d))
+    ids = rng.integers(0, n, size=(e, 2 + q))
+    ids[:, 0] = rng.permutation(np.arange(e) % 7)[::-1]
+    ids[3, 4] = ids[3, 0]
+    _, (got,) = tape_grads(
+        lambda nodes: compute.scale(compute.negative_sampling_loss(nodes[0], ids), g), [v]
+    )
+    w = _dscore(v, ids, g)
+    a, c = v[ids[:, 0]], v[ids[:, 1:]]
+    want = np.zeros_like(v)
+    np.add.at(want, ids[:, 0], np.einsum("ek,ekd->ed", w, c))
+    np.add.at(want, ids[:, 1:].ravel(), (w[:, :, None] * a[:, None, :]).reshape(-1, d))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+_SCORE_ROWS = compute._SCORE_CELLS // (7 * 4)  # anchor rows per block at Q=5, d=4
 
 
 @pytest.mark.parametrize(
@@ -355,24 +371,21 @@ _SCORE_ROWS = compute._SCORE_CELLS // (6 * 4)  # anchor rows per block at Q=5, d
     ids=["one-block", "two-blocks", "two-blocks-and-7"],
 )
 def test_negative_sampling_loss_in_blocks_equals_one_einsum_bitwise(e):
-    # the scores, formed block by block, give the loss and both pulls of
-    # one einsum over the whole gathered (E, 1+Q, d) tensor
+    # the scores, formed block by block, give the loss and the pull of one
+    # einsum over the whole gathered anchors and (E, 1+Q, d) candidates
     rng = np.random.default_rng(18)
-    a = _spread(rng, (e, 4))
     v = _spread(rng, (9, 4))
-    a, v = a / np.abs(a).max(), v / np.abs(v).max()
-    candidates = rng.integers(0, 9, size=(e, 6))
+    v /= np.abs(v).max()
+    ids = rng.integers(0, 9, size=(e, 7))
     tape = GradTape()
-    na, nv = tape.parameter(a), tape.parameter(v)
-    loss = compute.negative_sampling_loss(na, nv, candidates)
-    got_a, got_v = backward(compute.scale(loss, -2.5))
-    arg = np.einsum("ed,ekd->ek", a, v[candidates])
+    nv = tape.parameter(v)
+    loss = compute.negative_sampling_loss(nv, ids)
+    (got,) = backward(compute.scale(loss, -2.5))
+    arg = np.einsum("ed,ekd->ek", v[ids[:, 0]], v[ids[:, 1:]])
     arg[:, 0] *= -1.0
     softplus = np.maximum(arg, 0.0) + np.log1p(np.exp(-np.abs(arg)))
     assert loss.data.tobytes() == np.array([[softplus.sum()]]).tobytes()
-    want_a, want_v = _negative_sampling_reference_grads(a, v, candidates, -2.5)
-    assert got_a.tobytes() == want_a.tobytes()
-    assert got_v.tobytes() == want_v.tobytes()
+    assert got.tobytes() == _negative_sampling_reference_grad(v, ids, -2.5).tobytes()
 
 
 def _traced_peak(f):
@@ -391,56 +404,66 @@ def test_negative_sampling_loss_forms_no_full_candidate_gather():
     # gathered (E, 1+Q, d) tensor alone would take 32 MB.
     e, q, d, n = 21_000, 5, 32, 3_000
     rng = np.random.default_rng(19)
-    a, v = Tensor2(rng.normal(size=(e, d))), Tensor2(rng.normal(size=(n, d)))
-    candidates = rng.integers(0, n, size=(e, 1 + q))
-    loss, peak = _traced_peak(lambda: compute.negative_sampling_loss(a, v, candidates))
+    v = Tensor2(rng.normal(size=(n, d)))
+    ids = rng.integers(0, n, size=(e, 2 + q))
+    loss, peak = _traced_peak(lambda: compute.negative_sampling_loss(v, ids))
     assert loss.tape is None
     assert peak < 2 * e * (1 + q) * 8 + 256 * 2**10
     # a training batch on a tape: its (E, 1+Q, d) gather would take 393 KiB
     e, n = 256, 300
     tape = GradTape()
-    a = tape.parameter(rng.normal(size=(e, d)))
     v = tape.parameter(rng.normal(size=(n, d)))
-    candidates = rng.integers(0, n, size=(e, 1 + q))
-    loss, peak = _traced_peak(lambda: compute.negative_sampling_loss(a, v, candidates))
+    ids = rng.integers(0, n, size=(e, 2 + q))
+    loss, peak = _traced_peak(lambda: compute.negative_sampling_loss(v, ids))
     assert loss.tape is tape
     assert peak < 256 * 2**10
 
 
+def test_negative_sampling_loss_forward_and_backward_form_no_e_by_d_array():
+    # at the large benchmark's size one E x d float64 array is 5.13 MiB
+    # (the anchor gather, or its gradient); a taped forward and backward
+    # must peak below that
+    e, q, d, n = 21_000, 5, 32, 3_000
+    rng = np.random.default_rng(21)
+    tape = GradTape()
+    v = tape.parameter(rng.normal(size=(n, d)))
+    ids = rng.integers(0, n, size=(e, 2 + q))
+    (grad,), peak = _traced_peak(lambda: backward(compute.negative_sampling_loss(v, ids)))
+    assert grad.shape == (n, d)
+    assert peak < e * d * 8
+
+
 def test_negative_sampling_loss_pulls_scale_the_sparse_gradient_bitwise():
-    # each pull equals the product with the sparse matrix S built from
-    # g * dscore, bit for bit: S itself under the upstream 1 that training
-    # passes, and a scaled copy otherwise; ids repeat in rows
+    # the pull equals W v + W.T v for the n x n sparse matrix W of g * dscore
+    # at (anchor, candidate), rows grouped by anchor, bit for bit: W itself
+    # under the upstream 1 that training passes, and a scaled copy
+    # otherwise; anchors and candidates repeat
     rng = np.random.default_rng(15)
-    a = rng.normal(size=(30, 5)) * np.exp(2.0 * rng.normal(size=(30, 5)))
-    v = rng.normal(size=(6, 5)) * np.exp(2.0 * rng.normal(size=(6, 5)))
-    a, v = a / np.abs(a).max(), v / np.abs(v).max()
-    candidates = rng.integers(0, 6, size=(30, 4))
-    arg = np.einsum("ed,ekd->ek", a, v[candidates])
-    arg[:, 0] *= -1.0
-    dscore = expit(arg)
-    dscore[:, 0] *= -1.0
-    e, k = candidates.shape
+    v = _spread(rng, (6, 5))
+    v /= np.abs(v).max()
+    ids = rng.integers(0, 6, size=(30, 5))
+    order = np.argsort(ids[:, 0], kind="stable")
+    e, k = ids.shape[0], ids.shape[1] - 1
     for g in (1.0, 0.37, -2.5):
-        _, (got_a, got_v) = tape_grads(
-            lambda n: compute.scale(compute.negative_sampling_loss(n[0], n[1], candidates), g),
-            [a, v],
+        _, (got,) = tape_grads(
+            lambda n: compute.scale(compute.negative_sampling_loss(n[0], ids), g), [v]
         )
-        s = sparse.csr_matrix(
-            ((g * dscore).ravel(), candidates.ravel(), np.arange(0, e * k + 1, k)),
-            shape=(e, v.shape[0]),
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(ids[:, 0], minlength=6) * k)])
+        w = sparse.csr_matrix(
+            (_dscore(v, ids, g)[order].ravel(), ids[order, 1:].ravel(), indptr), shape=(6, 6)
         )
-        assert got_a.tobytes() == (s @ v).tobytes()
-        assert got_v.tobytes() == (s.T @ a).tobytes()
+        assert got.tobytes() == (w @ v + w.T @ v).tobytes()
 
 
 def test_negative_sampling_loss_untaped_skips_the_gradient(monkeypatch):
     # a forward pass on constants (the epoch snapshot) builds no gradient
-    def unused(*args):
-        raise AssertionError("expit is only needed for a recorded op")
+    # and no sparse matrix
+    def unused(*args, **kwargs):
+        raise AssertionError("only a recorded op needs the gradient")
 
     monkeypatch.setattr(compute, "expit", unused)
-    out = compute.negative_sampling_loss(Tensor2([[0.0]]), Tensor2([[1.0], [2.0]]), [[0, 1]])
+    monkeypatch.setattr(compute.sparse, "csr_matrix", unused)
+    out = compute.negative_sampling_loss(Tensor2([[0.0], [1.0], [2.0]]), [[0, 1, 2]])
     assert out.tape is None
     assert out.item() == pytest.approx(2 * 0.6931471805599453, rel=1e-15)
 
@@ -467,9 +490,8 @@ def test_composite_pipeline_gradients():
     def build(nodes):
         h = compute.relu(compute.matmul(compute.spmm(p, Tensor2(x)), nodes[0]))
         v = compute.matmul(compute.spmm(p, h), nodes[1])
-        heads = compute.gather_rows(v, [0, 1, 2])
-        # partner then one negative per head
-        return compute.negative_sampling_loss(heads, v, [[1, 4], [2, 0], [3, 3]])
+        # per row an anchor, its partner, then one negative
+        return compute.negative_sampling_loss(v, [[0, 1, 4], [1, 2, 0], [2, 3, 3]])
 
     check_gradients(build, [w0, w1], atol=1e-6)
 

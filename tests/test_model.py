@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from dane import compute, model
 from dane.compute import GradTape, Tensor2, backward
 from dane.errors import DaneError, EmptyInput, IndexOutOfRange, ShapeMismatch
 from dane.graph import Graph, NegativeSampler, build_propagation
 
-from conftest import check_gradients, sum_squares
+from conftest import check_gradients, sum_squares, tape_grads
 
 
 def tiny_graph(seed=0, n=6, feature_dim=3):
@@ -110,6 +111,17 @@ def test_edge_batch_alignment_checked():
         model.EdgeBatch(np.zeros((3, 2)), np.zeros((2, 5)))
 
 
+def test_edge_batch_holds_one_id_array_that_pairs_and_negatives_view():
+    pairs, negatives = np.array([[0, 1], [2, 3], [0, 4]]), np.array([[5, 6], [7, 8], [9, 0]])
+    batch = model.EdgeBatch(pairs, negatives)
+    assert batch.ids.dtype == np.int64
+    np.testing.assert_array_equal(batch.ids, np.hstack([pairs, negatives]))
+    assert np.shares_memory(batch.pairs, batch.ids)
+    assert np.shares_memory(batch.negatives, batch.ids)
+    np.testing.assert_array_equal(batch.pairs, pairs)
+    np.testing.assert_array_equal(batch.negatives, negatives)
+
+
 # --- structural loss -----------------------------------------------------------
 
 
@@ -178,15 +190,37 @@ def test_edge_loss_gradients():
     check_gradients(lambda n: model.edge_loss(n[0], batch), [v])
 
 
+@pytest.mark.parametrize("e", [1, 5, 700], ids=["one-edge", "few-edges", "over-one-block"])
+def test_edge_loss_gradient_with_isolated_nodes_and_repeated_anchors(e):
+    # nodes 0 and 7 of 8 are in no pair and drawn as no negative, anchors
+    # repeat, and at 700 edges the score runs over more than one block of
+    # ids; the gradient matches a scatter of every score's two pulls
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=(8, 20))
+    pairs = rng.integers(1, 7, size=(e, 2))
+    pairs[:, 0] = rng.integers(1, 3, size=e)
+    batch = model.EdgeBatch(pairs, rng.integers(1, 7, size=(e, 3)))
+    _, (got,) = tape_grads(lambda n: model.edge_loss(n[0], batch), [v])
+    ids = batch.ids
+    a, c = v[ids[:, 0]], v[ids[:, 1:]]
+    sign = np.array([-1.0, 1.0, 1.0, 1.0])
+    w = sign * expit(sign * np.einsum("ed,ekd->ek", a, c))
+    want = np.zeros_like(v)
+    np.add.at(want, ids[:, 0], np.einsum("ek,ekd->ed", w, c))
+    np.add.at(want, ids[:, 1:].ravel(), (w[:, :, None] * a[:, None, :]).reshape(-1, 20))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    assert not got[[0, 7]].any()
+
+
 @pytest.mark.parametrize("q", [0, 4])
-def test_edge_loss_records_two_tape_ops(q):
-    # an anchor gather and one sampled score of partners and negatives
+def test_edge_loss_is_one_tape_op(q):
+    # one sampled score of each anchor against its partner and negatives
     rng = np.random.default_rng(10)
     tape = GradTape()
     v = tape.parameter(rng.normal(size=(6, 2)))
     batch = model.EdgeBatch(np.array([[0, 1], [2, 3], [4, 5]]), rng.integers(0, 6, size=(3, q)))
     model.edge_loss(v, batch)
-    assert len(tape._records) == 2
+    assert len(tape._records) == 1
 
 
 def test_gcn_loss_adds_both_graphs():
