@@ -101,7 +101,8 @@ def _load_config(path) -> dict:
         if not any(_fits(value, kind) for kind in kinds):
             names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
             raise DaneError(f"{path}: config key {key!r} must be {names}, got {value!r}")
-        if float in kinds and _fits(value, float) and not _finite(value):
+        # an int too large for a float would size arrays and loops past any use
+        if _fits(value, float) and not _finite(value):
             raise DaneError(f"{path}: config key {key!r} must be finite, got {value!r}")
     return doc
 

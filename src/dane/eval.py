@@ -380,16 +380,17 @@ def evaluate_transfer(
 
 # Cells of the pooled squared-distance matrix that distribution_distance
 # forms at a time: 2^20 float64, 8 MiB, like synth._DRAW_ROWS bounds the edge
-# draw. _BLOCK_CELLS also caps the median's window buffer. A call whose
-# strict upper triangle has at most _KEPT_CELLS cells (64 MiB) keeps its
-# blocks between passes; a larger one forms them twice, once to find the
-# median in a window guessed from _SAMPLE_ROWS strided rows (ranks
-# 0.5 ± _WINDOW of the sample's distances) and once to sum the kernel.
+# draw. _BLOCK_CELLS also caps the median search's one gathering buffer. A
+# call whose strict upper triangle has at most _KEPT_CELLS cells (64 MiB)
+# keeps its blocks between passes, and its search starts from all bit
+# patterns; a larger one forms them twice, once for the median and once for
+# the kernel, and its search starts from the patterns of ranks 0.5 ± _WINDOW
+# of the distances between _SAMPLE_ROWS strided rows.
 _BLOCK_CELLS = 1 << 20
 _KEPT_CELLS = 1 << 23
 _SAMPLE_ROWS = 1000
 _WINDOW = 0.025
-_LAST_BITS = (1 << 63) - 1  # the largest int64: every positive double lies under it
+_LAST_BITS = 0x7FF0 << 48  # the pattern of +Inf: no positive double lies above it
 
 
 def _upper_sq_distances(pooled: np.ndarray, na: int):
@@ -419,79 +420,90 @@ def _upper_sq_distances(pooled: np.ndarray, na: int):
             r0 = r1
 
 
-def _positive_bits(blocks, first: int, last: int):
-    """Per piece of ``blocks()``, the int64 bit patterns of its positive
-    cells that lie in [first, last]."""
-    for _, cells in blocks():
-        bits = cells[cells > 0].view(np.int64)
-        yield bits if first == 0 and last == _LAST_BITS else bits[(bits >= first) & (bits <= last)]
-
-
-def _median_of_positive(blocks, window=None) -> float:
+def _median_of_positive(blocks, start=None) -> float:
     """``np.median`` of the positive cells of the pieces ``blocks()`` yields,
     or 1.0 when none is, without holding the cells.
 
-    Positive doubles sort as their int64 bit patterns. A pass counts the
-    patterns in 2^16 bins of their leading bits, which places the middle
-    rank or ranks. Two middle ranks in different bins are the largest
-    pattern of the first bin and the smallest of the second. A bin of at
-    most _BLOCK_CELLS patterns is gathered and sorted; a larger one is
-    counted again by its next 16 bits, until its bins hold one pattern.
-
-    ``window`` resumes the search from counts already taken: ``(first,
-    last, shift, below, counts, ranks)``, with [first, last] a whole number
-    of bins of 2^shift patterns that holds both middle ranks."""
-    first, last, below = 0, _LAST_BITS, 0  # `below` patterns lie under first
-    shift, ranks, counts = 47, None, None
-    if window is not None:
-        first, last, shift, below, counts, ranks = window
+    Positive doubles sort as their int64 bit patterns, so the search narrows
+    a range [first, last] of patterns: at first all of them, or the
+    ``(first, last, shift)`` of ``start`` (see :func:`_sample_window`). A
+    pass counts the range's positive cells in at most 2^16 bins of 2^shift
+    patterns, which places the middle rank or ranks. When the range is
+    narrower than all patterns, the same pass copies its cells into one
+    buffer of _BLOCK_CELLS values while they fit, and cells that fit give
+    the middle ranks in place (``np.partition``). Otherwise two middle ranks
+    in different bins are the largest cell of the first bin and the
+    smallest of the second, and one middle bin becomes the next range,
+    counted by its next 16 bits, until its bins hold one pattern. A start
+    that misses a middle rank restarts from all patterns."""
+    first, last, shift = (0, _LAST_BITS, 47) if start is None else start
+    gathered = np.empty(_BLOCK_CELLS)
+    below, ranks = 0, None  # `below` positive cells lie under first
     while True:
-        if counts is None:
-            bins = ((last - first) >> shift) + 1
-            counts = np.zeros(bins, dtype=np.int64)
-            for bits in _positive_bits(blocks, first, last):
-                counts += np.bincount((bits - first) >> shift, minlength=bins)
+        whole = (first, last) == (0, _LAST_BITS)
+        # as doubles, the range is [low, high]; 1 is the least positive one
+        low, high = np.array([max(first, 1), last], dtype=np.int64).view(np.float64)
+        bins = ((last - first) >> shift) + 1
+        counts = np.zeros(bins, dtype=np.int64)
+        total = at_or_above = inside = 0
+        for _, cells in blocks():
+            mask = cells >= low
+            if not whole:
+                if ranks is None:  # a start leaves out cells whose ranks it needs
+                    total += np.count_nonzero(cells > 0)
+                    at_or_above += np.count_nonzero(mask)
+                # the cells are masked in place: copying a block's positive
+                # cells to filter their patterns would double its memory
+                mask &= cells <= high
+            found = cells[mask]
+            counts += np.bincount((found.view(np.int64) - first) >> shift, minlength=bins)
+            if not whole and inside + found.size <= gathered.size:
+                gathered[inside : inside + found.size] = found
+            inside += found.size
+            del cells, mask, found  # before the next block is formed
         if ranks is None:
-            total = int(counts.sum())
+            if whole:
+                total = at_or_above = inside
             if total == 0:
                 return 1.0
             ranks = ((total - 1) // 2, total // 2)
-        ends = below + np.cumsum(counts)
-        lo, hi = (int(b) for b in np.searchsorted(ends, ranks, side="right"))
-        below = int(ends[lo] - counts[lo])
-        start, width = first + (lo << shift), 1 << shift
-        if lo != hi:
-            split = first + (hi << shift)
-            low, high = -1, last
-            for bits in _positive_bits(blocks, start, split + width - 1):
-                in_lo = bits < split
-                low = max(low, int(bits[in_lo].max(initial=-1)))
-                high = min(high, int(bits[~in_lo].min(initial=last)))
-            pair = [low, high]
-        elif shift == 0:
-            pair = [start, start]
-        elif counts[lo] <= _BLOCK_CELLS:
-            bits = np.sort(np.concatenate(list(_positive_bits(blocks, start, start + width - 1))))
-            pair = [int(bits[r - below]) for r in ranks]
+            below = total - at_or_above
+            if not below <= ranks[0] <= ranks[1] < below + inside:
+                first, last, shift, below = 0, _LAST_BITS, 47, 0
+                continue
+        if not whole and inside <= gathered.size:
+            at = [rank - below for rank in ranks]
+            gathered = gathered[:inside]
+            gathered.partition(at)
+            a, b = gathered[at]
         else:
-            first, last, shift = start, start + width - 1, max(shift - 16, 0)
-            counts = None
-            continue
-        return _middle(np.array(pair, dtype=np.int64).view(np.float64), ranks)
-
-
-def _middle(pair: np.ndarray, ranks: tuple[int, int]) -> float:
-    """The median from the values at its two middle ranks, as ``np.median``
-    rounds it."""
-    a, b = pair
-    return float(a) if ranks[0] == ranks[1] else float((a + b) / 2)
+            ends = below + np.cumsum(counts)
+            lo, hi = (int(i) for i in np.searchsorted(ends, ranks, side="right"))
+            below = int(ends[lo] - counts[lo])
+            first += lo << shift
+            if lo != hi:
+                # the bins between the two are empty, so the cells next to the
+                # second bin's first pattern are the two middle ones
+                split = np.int64(first + ((hi - lo) << shift)).view(np.float64)
+                a, b = -np.inf, np.inf
+                for _, cells in blocks():
+                    a = max(a, cells.max(initial=-np.inf, where=cells < split))
+                    b = min(b, cells.min(initial=np.inf, where=cells >= split))
+                    del cells  # before the next block is formed
+            elif shift > 0:
+                last, shift = min(first + (1 << shift) - 1, _LAST_BITS), max(shift - 16, 0)
+                continue
+            else:
+                a = b = np.int64(first).view(np.float64)
+        # the median from the values at its two middle ranks, as np.median rounds it
+        return float(a) if ranks[0] == ranks[1] else float((a + b) / 2)
 
 
 def _sample_window(pooled: np.ndarray):
-    """``(first, last, shift)``: bit patterns [first, last], a whole number
-    of at most 2^16 bins of 2^shift patterns, that hold the ranks 0.5 ±
-    _WINDOW of the positive squared distances between about _SAMPLE_ROWS
-    strided rows of ``pooled``; None when no such distance is positive."""
+    """A start ``(first, last, shift)`` for :func:`_median_of_positive`: bit
+    patterns [first, last], at most 2^16 bins of 2^shift, that hold the ranks
+    0.5 ± _WINDOW of the positive squared distances between about
+    _SAMPLE_ROWS strided rows of ``pooled``; None when none is positive."""
     sample = pooled[:: -(-pooled.shape[0] // _SAMPLE_ROWS)]
     cells = np.concatenate([c[c > 0] for _, c in _upper_sq_distances(sample, sample.shape[0])])
     if cells.size == 0:
@@ -503,49 +515,6 @@ def _sample_window(pooled: np.ndarray):
     return first, first + ((((hi - first) >> shift) + 1) << shift) - 1, shift
 
 
-def _windowed_median(pooled: np.ndarray, blocks) -> float:
-    """:func:`_median_of_positive` of ``blocks()``, found in the first pass
-    over them when the window of :func:`_sample_window` holds both middle
-    ranks.
-
-    That pass counts the positive cells and those under the window, bins
-    the window's cells like the search's counts, and gathers them into one
-    buffer of _BLOCK_CELLS values while they fit. Gathered, the middle ranks
-    are picked from the buffer in place; too many to gather, the search
-    resumes from the window's counts. A window that misses a middle rank
-    leaves the whole search to run."""
-    window = _sample_window(pooled)
-    if window is None:
-        return _median_of_positive(blocks)
-    first, last, shift = window
-    low, high = np.array([first, last], dtype=np.int64).view(np.float64)
-    bins = ((last - first) >> shift) + 1
-    counts = np.zeros(bins, dtype=np.int64)
-    gathered = np.empty(_BLOCK_CELLS)
-    total = at_or_above = inside = 0
-    for _, cells in blocks():
-        total += np.count_nonzero(cells > 0)
-        mask = cells >= low
-        at_or_above += np.count_nonzero(mask)
-        mask &= cells <= high
-        found = cells[mask]
-        counts += np.bincount((found.view(np.int64) - first) >> shift, minlength=bins)
-        if inside + found.size <= gathered.size:
-            gathered[inside : inside + found.size] = found
-        inside += found.size
-        del cells, mask  # before the next block is formed
-    below = total - at_or_above  # positive cells under the window
-    ranks = ((total - 1) // 2, total // 2)
-    if not below <= ranks[0] <= ranks[1] < below + inside:  # or no cell is positive
-        return _median_of_positive(blocks)
-    if inside > gathered.size:
-        return _median_of_positive(blocks, (first, last, shift, below, counts, ranks))
-    gathered = gathered[:inside]
-    at = (ranks[0] - below, ranks[1] - below)
-    gathered.partition(at)
-    return _middle(gathered[list(at)], ranks)
-
-
 def distribution_distance(v_a: np.ndarray, v_b: np.ndarray) -> float:
     """Squared maximum mean discrepancy between two embedding clouds under
     an RBF kernel exp(-d²/m), m the median of the positive squared distances
@@ -555,10 +524,11 @@ def distribution_distance(v_a: np.ndarray, v_b: np.ndarray) -> float:
     The pooled distances are formed in blocks of rows (see
     :func:`_upper_sq_distances`), so memory does not grow with the square
     of the row count. Past _KEPT_CELLS they are formed twice: the first pass
-    finds the median (:func:`_windowed_median`), the last sums the kernel
-    over the pairs within each cloud and across. A middle rank outside the
-    sampled window costs the whole search of :func:`_median_of_positive`.
-    A NaN or Inf in either cloud raises :class:`NonFiniteValue`."""
+    finds the median (:func:`_median_of_positive`, started from the range
+    of :func:`_sample_window`), the last sums the kernel over the pairs
+    within each cloud and across. A start that misses a middle rank costs
+    the search from all bit patterns. A NaN or Inf in either cloud raises
+    :class:`NonFiniteValue`."""
     v_a = np.asarray(v_a, dtype=np.float64)
     v_b = np.asarray(v_b, dtype=np.float64)
     if v_a.ndim != 2 or v_b.ndim != 2 or v_a.shape[1] != v_b.shape[1]:
@@ -578,11 +548,10 @@ def distribution_distance(v_a: np.ndarray, v_b: np.ndarray) -> float:
     pooled = np.vstack([v_a, v_b])
     n = na + nb
     if n * (n - 1) // 2 <= _KEPT_CELLS:
-        blocks = list(_upper_sq_distances(pooled, na)).__iter__
-        denom = _median_of_positive(blocks)
+        blocks, start = list(_upper_sq_distances(pooled, na)).__iter__, None
     else:
-        blocks = functools.partial(_upper_sq_distances, pooled, na)
-        denom = _windowed_median(pooled, blocks)
+        blocks, start = functools.partial(_upper_sq_distances, pooled, na), _sample_window(pooled)
+    denom = _median_of_positive(blocks, start)
     # kernel sums over the pairs i < j of each region; the last pass, so it
     # may overwrite kept blocks. d2 / -denom is -d2 / denom exactly
     sums = [0.0, 0.0, 0.0]

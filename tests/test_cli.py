@@ -141,6 +141,12 @@ def test_optimizer_key_is_unknown(tmp_path, capsys):
         pytest.param("train", "disc_lr", -(10**400), id="train-disc_lr--1e400"),
         pytest.param("generate", "noise_sigma", 10**400, id="generate-noise_sigma-1e400"),
         pytest.param("eval", "classifier_l2", 10**400, id="eval-classifier_l2-1e400"),
+        # and for an int-typed key, which would size an array or a loop:
+        # numpy's error named no file, or the run never ended
+        pytest.param("train", "negative_samples", 10**400, id="train-negative_samples-1e400"),
+        pytest.param("train", "embedding_dim", 10**400, id="train-embedding_dim-1e400"),
+        pytest.param("train", "epochs", 10**400, id="train-epochs-1e400"),
+        pytest.param("eval", "classifier_epochs", 10**400, id="eval-classifier_epochs-1e400"),
     ],
 )
 def test_non_finite_config_value_is_bad_input_not_divergence(

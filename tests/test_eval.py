@@ -637,18 +637,12 @@ def _kept_and_formed_again(monkeypatch, a, b):
     return kept, ev.distribution_distance(a, b), formed
 
 
-def test_mmd_forms_the_blocks_twice_when_the_window_holds_the_median(monkeypatch):
-    # 2,000 pooled rows, so the window is sampled from every second row
-    rng = np.random.default_rng(26)
-    a, b = rng.normal(size=(1100, 4)), rng.normal(size=(900, 4)) + 0.3
-    kept, again, formed = _kept_and_formed_again(monkeypatch, a, b)
-    assert again == kept  # the same blocks and the same median, bit for bit
-    assert again == pytest.approx(_mmd_out_of_place(a, b), rel=1e-12)
-    assert formed.count(2000) == 2  # the median's pass and the kernel's
-    assert len(formed) == 3 and formed[0] <= ev._SAMPLE_ROWS
+def _normal_clouds(seed, na, nb, d, shift):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(na, d)), rng.normal(size=(nb, d)) + shift
 
 
-def test_mmd_median_outside_the_sampled_window_runs_the_whole_search(monkeypatch):
+def _clustered_clouds():
     # every second row, which the window is sampled from, sits in a tight
     # cluster, so the sample's distances are far below the pooled median
     rng = np.random.default_rng(27)
@@ -657,32 +651,73 @@ def test_mmd_median_outside_the_sampled_window_runs_the_whole_search(monkeypatch
         v = 10.0 * rng.normal(size=(1000, 3)) + shift
         v[::2] = 1e-3 * rng.normal(size=(500, 3))
         clouds.append(v)
+    return clouds
+
+
+def test_mmd_forms_the_blocks_twice_when_the_window_holds_the_median(monkeypatch):
+    # 2,000 pooled rows, so the window is sampled from every second row
+    a, b = _normal_clouds(26, 1100, 900, 4, 0.3)
+    kept, again, formed = _kept_and_formed_again(monkeypatch, a, b)
+    assert again == kept  # the same blocks and the same median, bit for bit
+    assert again == pytest.approx(_mmd_out_of_place(a, b), rel=1e-12)
+    assert formed.count(2000) == 2  # the median's pass and the kernel's
+    assert len(formed) == 3 and formed[0] <= ev._SAMPLE_ROWS
+
+
+def test_mmd_median_outside_the_sampled_window_runs_the_whole_search(monkeypatch):
+    clouds = _clustered_clouds()
     pooled = np.vstack(clouds)
-    first, last, _ = ev._sample_window(pooled)
+    start = ev._sample_window(pooled)
     positive = _positive_cells(pooled, 1000)
-    assert np.count_nonzero(positive.view(np.int64) <= last) < positive.size // 2
+    assert np.count_nonzero(positive.view(np.int64) <= start[1]) < positive.size // 2
     blocks = lambda: ev._upper_sq_distances(pooled, 1000)  # noqa: E731
-    assert ev._windowed_median(pooled, blocks) == np.median(positive)
+    assert ev._median_of_positive(blocks, start) == np.median(positive)
     kept, again, formed = _kept_and_formed_again(monkeypatch, *clouds)
     assert again == kept
     assert again == pytest.approx(_mmd_out_of_place(*clouds), rel=1e-12)
     assert formed.count(2000) > 2
 
 
-def test_mmd_window_too_full_to_gather_resumes_from_its_counts(monkeypatch):
+def test_mmd_window_too_full_to_gather_narrows_to_its_middle_bin(monkeypatch):
     # a window of about 5% of 2.4M distances, gathered 4,096 at most
     monkeypatch.setattr(ev, "_BLOCK_CELLS", 4096)
-    rng = np.random.default_rng(28)
-    a, b = rng.normal(size=(1200, 5)), rng.normal(size=(1000, 5)) + 0.2
+    a, b = _normal_clouds(28, 1200, 1000, 5, 0.2)
     pooled = np.vstack([b, a])  # the canonical order: the smaller cloud first
     positive = _positive_cells(pooled, 1000)
     formed = _count_formations(monkeypatch)
     blocks = lambda: ev._upper_sq_distances(pooled, 1000)  # noqa: E731
-    assert ev._windowed_median(pooled, blocks) == np.median(positive)
-    # the sample, the counting pass, and one gathering the median's bin
+    assert ev._median_of_positive(blocks, ev._sample_window(pooled)) == np.median(positive)
+    # the sample, the window's pass, and one that counts and gathers its middle bin
     assert formed.count(2200) == 2 and len(formed) == 3
     monkeypatch.setattr(ev, "_KEPT_CELLS", 0)
     assert ev.distribution_distance(a, b) == pytest.approx(_mmd_out_of_place(a, b), rel=1e-12)
+
+
+# one pair per way the median is found, pinned to the statistic's exact
+# bits, which no change to how the median is found may move: a call that
+# keeps its blocks; a sampled window that holds the median; one that holds
+# it but overflows a buffer of 4,096 cells; and one that misses it
+@pytest.mark.parametrize(
+    "clouds, block_cells, kept_cells, bits",
+    [
+        (lambda: _normal_clouds(29, 300, 300, 32, 0.1), 1 << 20, 1 << 23, "0x1.44fab60f88d00p-7"),
+        (lambda: _normal_clouds(26, 1100, 900, 4, 0.3), 1 << 20, 0, "0x1.88838b7ee3dc0p-6"),
+        (lambda: _normal_clouds(28, 1200, 1000, 5, 0.2), 4096, 0, "0x1.5d5c20b6b9d40p-7"),
+        (_clustered_clouds, 1 << 20, 0, "0x1.d011764eb4c00p-11"),
+    ],
+    ids=["kept", "window-hit", "window-too-full", "window-miss"],
+)
+def test_mmd_is_pinned_on_each_way_to_the_median(monkeypatch, clouds, block_cells, kept_cells, bits):
+    monkeypatch.setattr(ev, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(ev, "_KEPT_CELLS", kept_cells)
+    assert ev.distribution_distance(*clouds()).hex() == bits
+
+
+def test_mmd_kept_call_forms_its_blocks_once_and_draws_no_sample(monkeypatch):
+    a, b = _normal_clouds(29, 300, 300, 32, 0.1)
+    formed = _count_formations(monkeypatch)
+    ev.distribution_distance(a, b)
+    assert formed == [600]  # a sample would be one more formation
 
 
 def test_mmd_memory_does_not_grow_with_the_pooled_square():
@@ -700,6 +735,9 @@ def test_mmd_memory_does_not_grow_with_the_pooled_square():
     # the search that counted, then gathered, its bins peaked at 37.9 MiB;
     # the window buffer (8 MiB) must be paid for out of its temporaries
     assert peak <= 38.9 * 2**20
+    # the window's pass masks each block's cells in place (27.6 MiB); copying
+    # a block's positive cells to filter their bit patterns peaked at 34.6 MiB
+    assert peak <= 30 * 2**20
 
 
 def test_mmd_input_validation():

@@ -1,5 +1,6 @@
 """Corrupted inputs end in exit 0 or 2: never in exit 3 (divergence) and
-never in an exception out of ``main``.
+never in an exception out of ``main``. Exit 2's ``error:`` line names one of
+the paths on the command line.
 
 Hypothesis mutates a trained checkpoint's JSON, the six data files of a
 generated 30-node pair and a training config, then runs the CLI in
@@ -7,6 +8,8 @@ process. The search is derandomized, so every run of the suite tries the
 same 40 inputs per test.
 """
 
+import contextlib
+import io
 import json
 import shutil
 import tempfile
@@ -57,9 +60,24 @@ def trained(tmp_path_factory):
     return data, train_config, run / "checkpoint.json"
 
 
+def _main(*argv) -> int:
+    """``main``'s exit code on ``argv``, whose ``Path`` items are the paths
+    on the command line. On exit 2, every ``error:`` line on stderr must
+    name one of them."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main([str(arg) for arg in argv])
+    if code == 2:
+        paths = [str(arg) for arg in argv if isinstance(arg, Path)]
+        errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+        assert errors, stderr.getvalue()
+        for line in errors:
+            assert any(path in line for path in paths), line
+    return code
+
+
 def _eval(data, checkpoint, out) -> int:
-    return main(["eval", "--data", str(data), "--checkpoint", str(checkpoint),
-                 "--out", str(out)])
+    return _main("eval", "--data", data, "--checkpoint", checkpoint, "--out", out)
 
 
 @st.composite
@@ -134,8 +152,8 @@ def test_corrupted_data_files_are_bad_input_or_usable(trained, changes, command)
                 _mutate(lines, *change)
             (data / name).write_text("".join(f"{text}\n" for text in lines))
         if command == "train":
-            code = main(["train", "--config", str(train_config), "--data", str(data),
-                         "--out", str(Path(tmp) / "run")])
+            code = _main("train", "--config", train_config, "--data", data,
+                         "--out", Path(tmp) / "run")
         else:
             code = _eval(data, checkpoint, Path(tmp) / "evaluation")
         assert code in (0, 2)
@@ -154,5 +172,5 @@ def test_a_corrupted_training_config_is_bad_input_or_usable(trained, key, delete
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "train.json"
         path.write_text(json.dumps(config))
-        assert main(["train", "--config", str(path), "--data", str(data_dir),
-                     "--out", str(Path(tmp) / "run")]) in (0, 2)
+        assert _main("train", "--config", path, "--data", data_dir,
+                     "--out", Path(tmp) / "run") in (0, 2)
